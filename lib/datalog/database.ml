@@ -70,10 +70,9 @@ let merge_into ~dst src =
         r acc)
     src 0
 
-let equal a b =
-  let preds =
-    List.sort_uniq String.compare (predicates a @ predicates b)
-  in
+(* Per predicate: a cardinality check, then every packed row of [a]
+   probed in [b] by its intern ids — no sorting, no term walks. *)
+let equal_on preds a b =
   List.for_all
     (fun p ->
       count a p = count b p
@@ -81,10 +80,13 @@ let equal a b =
       match (relation_opt a p, relation_opt b p) with
       | None, _ | _, None -> true (* equal counts, so both empty *)
       | Some ra, Some rb ->
-        List.equal
-          (fun x y -> Tuple.compare x y = 0)
-          (Relation.to_list ra) (Relation.to_list rb))
+        Relation.fold_packed
+          (fun row ok -> ok && Relation.mem_packed rb row)
+          ra true)
     preds
+
+let equal a b =
+  equal_on (List.sort_uniq String.compare (predicates a @ predicates b)) a b
 
 let of_facts fs =
   let db = create () in

@@ -46,7 +46,12 @@ val equal : t -> t -> bool
 (** Extensional equality: the same facts under every predicate
     (predicates that exist but hold no tuples are ignored, so a
     database that merely {e touched} a relation equals one that never
-    did). Deterministic via {!Relation.to_list}'s sorted enumeration. *)
+    did). Compares cardinalities, then probes packed rows — no
+    sorting. *)
+
+val equal_on : string list -> t -> t -> bool
+(** [equal_on preds a b] is {!equal} restricted to the predicates
+    [preds]. *)
 
 val merge_into : dst:t -> t -> int
 (** Add every fact of the source database into [dst]; returns the number

@@ -600,7 +600,33 @@ let recover ?(config = default_config) ?report p =
               });
           Ok (Some db))))
 
-let query ?stats db lits = Eval.solve_body ?stats ~db ~neg:db lits
+(* One literal is one index lookup, where the interpreter beats
+   compiling a plan. Longer bodies run as a plan whose head is the
+   variables the body binds; each distinct head row is one answer.
+   Rows are deduplicated on their intern ids: structural hashing of
+   nested skolem terms collides. *)
+let query ?stats db lits =
+  match lits with
+  | [] | [ _ ] -> Eval.solve_body ?stats ~db ~neg:db lits
+  | _ ->
+    let vars =
+      List.sort_uniq String.compare (List.concat_map Logic.Literal.binds lits)
+    in
+    let head = Atom.make "query" (List.map Logic.Term.var vars) in
+    let plan = Plan.compile (Logic.Rule.make head lits) ~focus:None in
+    let rows, _ =
+      Plan.run_rows ?stats ~max_term_depth:max_int ~db ~neg:db plan
+    in
+    let seen = Tuple.Hashset.create 64 in
+    List.fold_left
+      (fun acc row ->
+        if not (Tuple.Hashset.add seen row) then acc
+        else
+          List.fold_left2
+            (fun s x t -> Subst.bind x t s)
+            Subst.empty vars (Tuple.Packed.to_list row)
+          :: acc)
+      [] rows
 
 let answers db (a : Atom.t) =
   let ss = query db [ Logic.Literal.Pos a ] in

@@ -16,38 +16,59 @@ let gamma ?stats ?pool ?compiled ?max_term_depth ?max_rounds rules edb i =
        rules db);
   db
 
-let db_subset a b =
-  List.for_all (fun f -> Database.mem b f) (Database.all_facts a)
+(* The read-set N: Γ reads its interpretation only through the
+   predicates some rule uses under negation or aggregation, so two
+   interpretations that agree on N have the same Γ image. *)
+let read_set rules =
+  List.concat_map
+    (fun r ->
+      List.filter_map
+        (fun (p, nonmono) -> if nonmono then Some p else None)
+        (Logic.Rule.body_predicates r))
+    rules
+  |> List.sort_uniq String.compare
 
-let db_equal a b = Database.cardinal a = Database.cardinal b && db_subset a b
+(* Facts of [over] missing from [under], per relation on packed rows. *)
+let difference over under =
+  let d = Database.create () in
+  List.iter
+    (fun p ->
+      let keep =
+        match Database.relation_opt under p with
+        | Some r -> fun row -> not (Relation.mem_packed r row)
+        | None -> fun _ -> true
+      in
+      Relation.iter_packed
+        (fun row ->
+          if keep row then ignore (Relation.add_packed (Database.relation d p) row))
+        (Database.relation over p))
+    (Database.predicates over);
+  d
 
 let compute ?stats ?pool ?compiled ?max_term_depth ?max_rounds p edb =
   let rules = Program.rules p in
-  let alternations = ref 0 in
-  let step i =
-    incr alternations;
-    gamma ?stats ?pool ?compiled ?max_term_depth ?max_rounds rules edb i
+  let reads = read_set rules in
+  let k = ref 0 in
+  (* x₍ₖ₊₁₎ = Γ(xₖ) from x₀ = ∅. Once xₖ agrees with xₖ₋₁ on N, Γ has a
+     fixpoint and the model is total; once it agrees with xₖ₋₂, the
+     sequence cycles between xₖ₋₁ and xₖ, and the even one holds the
+     true facts, the odd one the non-false facts. *)
+  let rec iterate prev2 prev =
+    incr k;
+    let cur =
+      gamma ?stats ?pool ?compiled ?max_term_depth ?max_rounds rules edb prev
+    in
+    if Database.equal_on reads cur prev then (cur, cur)
+    else
+      match prev2 with
+      | Some p2 when Database.equal_on reads cur p2 ->
+        if !k mod 2 = 0 then (cur, prev) else (prev, cur)
+      | _ -> iterate (Some prev) cur
   in
-  (* A_0 = ∅ (so Γ(A_0) is the maximal candidate). *)
-  let rec iterate under over =
-    (* invariant: under ⊆ true facts ⊆ over *)
-    let under' = step over in
-    let over' = step under' in
-    if db_equal under under' && db_equal over over' then (under', over')
-    else iterate under' over'
+  let under, over = iterate None (Database.create ()) in
+  let undefined =
+    if under == over then Database.create () else difference over under
   in
-  let empty = Database.create () in
-  let over0 = step empty in
-  let under0 = step over0 in
-  let under, over =
-    if db_equal under0 over0 then (under0, over0)
-    else iterate under0 over0
-  in
-  let undefined = Database.create () in
-  List.iter
-    (fun f ->
-      if not (Database.mem under f) then ignore (Database.add_fact undefined f))
-    (Database.all_facts over);
-  { true_facts = under; undefined; alternations = !alternations }
+  { true_facts = under; undefined; alternations = !k }
 
 let is_total m = Database.cardinal m.undefined = 0

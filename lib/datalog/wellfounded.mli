@@ -10,12 +10,32 @@
 
     Aggregates are treated like negation: each alternating step
     evaluates them against the fixed candidate model of the previous
-    step. *)
+    step.
+
+    {b The read-set argument.} One step is Γ(I), the least model with
+    negated and aggregate literals read from a fixed interpretation I.
+    Γ reads I only through the {e read-set} N: the predicates that some
+    rule uses under negation or aggregation ({!Logic.Rule.body_predicates}).
+    So the iteration x₀ = ∅, x₍ₖ₊₁₎ = Γ(xₖ) stops at the first k where
+    xₖ agrees on N with
+    - xₖ₋₁: then Γ(xₖ) = xₖ, the model is total and xₖ is it;
+    - xₖ₋₂: then the sequence cycles between xₖ₋₁ and xₖ; the even
+      iterate holds the true facts, the odd one the non-false facts.
+
+    Only N's relations are compared, on packed rows
+    ({!Database.equal_on}), and [undefined] is built only when the two
+    sides differ. When Γ(∅) derives no fact of N — as on the default
+    neuro federation — one Γ application suffices. This never performs
+    more Γ applications than iterating Γ∘Γ until both whole databases
+    repeat, and returns the same model. *)
 
 type model = {
   true_facts : Database.t;   (** facts true in the well-founded model *)
   undefined : Database.t;    (** facts with truth value "undefined" *)
-  alternations : int;        (** number of Γ applications performed *)
+  alternations : int;
+      (** number of Γ applications performed: 1 when Γ(∅) already
+          agrees with ∅ on the read-set, k when the iteration stopped
+          at xₖ *)
 }
 
 val compute :

@@ -737,7 +737,7 @@ let materialize t =
              assertion mode, entangle negation with recursion):
              well-founded fallback, no incremental handle *)
           t.maint <- None;
-          Flogic.Fl_program.run
+          Datalog.Engine.materialize
             ~config:
               {
                 Datalog.Engine.default_config with
@@ -745,7 +745,8 @@ let materialize t =
                 minimize;
                 domains = t.cfg.domains;
               }
-            p)
+            dp
+            (Datalog.Database.create ()))
     in
     t.cstats <- { t.cstats with rebuilt = t.cstats.rebuilt + 1 };
     t.cache <- Some db;

@@ -56,6 +56,35 @@ let test_relation_lookup_select () =
   Alcotest.(check int) "select diagonal" 1
     (List.length (Relation.select rr ~pattern:[ v "X"; v "X" ]))
 
+(* Database.equal compares rows, not insertion order: equal sets
+   filled in different orders are equal, equal sizes with different
+   rows are not, and equal_on looks only at the predicates it is
+   given. *)
+let test_database_equal () =
+  let rows = List.init 40 (fun k -> [ s (Printf.sprintf "a%d" (k mod 7)); i k ]) in
+  let fill rows =
+    let db = Database.create () in
+    List.iter (fun tup -> ignore (Database.add_tuple db "r" tup)) rows;
+    db
+  in
+  let a = fill rows and b = fill (List.rev rows) in
+  (* a built index and a removed-then-re-added row leave the rows equal *)
+  ignore (Relation.lookup (Database.relation b "r") ~pos:0 (s "a3"));
+  ignore (Database.remove_fact b (atom "r" [ s "a0"; i 0 ]));
+  ignore (Database.add_fact b (atom "r" [ s "a0"; i 0 ]));
+  Alcotest.(check bool) "same rows, different order" true (Database.equal a b);
+  let c = fill ([ s "a0"; i 99 ] :: List.tl rows) in
+  Alcotest.(check int) "same size" (Database.count a "r") (Database.count c "r");
+  Alcotest.(check bool) "different rows" false (Database.equal a c);
+  Alcotest.(check bool) "different rows, other way" false (Database.equal c a);
+  ignore (Database.relation a "touched");
+  Alcotest.(check bool) "empty relation ignored" true (Database.equal a b);
+  ignore (Database.add_tuple c "other" [ s "x" ]);
+  Alcotest.(check bool) "equal_on its predicates only" true
+    (Database.equal_on [ "touched"; "missing" ] a c);
+  Alcotest.(check bool) "equal_on sees a difference" false
+    (Database.equal_on [ "r" ] a c)
+
 let test_relation_index_after_add () =
   let r = Relation.create () in
   ignore (Relation.add r [ s "a"; s "b" ]);
@@ -486,6 +515,7 @@ let suites =
         Alcotest.test_case "incremental index" `Quick test_relation_index_after_add;
         Alcotest.test_case "lookup after copy" `Quick test_relation_copy_lookup;
         Alcotest.test_case "database" `Quick test_database;
+        Alcotest.test_case "database equality" `Quick test_database_equal;
       ] );
     ( "datalog.stratify",
       [

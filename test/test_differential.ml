@@ -54,8 +54,12 @@ let ground_atom st (name, arity) =
    lower [p_j] under negation or aggregation — stratified by
    construction. Safety by construction too: head and negated-literal
    variables are drawn from the variables of the positive body
-   literals (plus an aggregate's result variable). *)
-let gen_rules st =
+   literals (plus an aggregate's result variable). With [unstratified],
+   negation may read any predicate, so negation entangles with
+   recursion, and aggregates read only EDB predicates (an aggregate
+   inside a negative cycle would make Γ non-antimonotone, and the
+   alternating fixpoint need not converge). *)
+let gen_rules ?(unstratified = false) st =
   let var_pool = [ "A"; "B"; "C"; "D" ] in
   let nidb = 4 + Random.State.int st 3 in
   let idb =
@@ -64,7 +68,9 @@ let gen_rules st =
   in
   let rule_for i (h, ha) =
     let pos_pool = edb_preds @ List.filteri (fun j _ -> j <= i) idb in
-    let neg_pool = edb_preds @ List.filteri (fun j _ -> j < i) idb in
+    let lower = edb_preds @ List.filteri (fun j _ -> j < i) idb in
+    let neg_pool = if unstratified then edb_preds @ idb else lower in
+    let agg_pool = if unstratified then edb_preds else lower in
     let positives =
       List.init
         (1 + Random.State.int st 2)
@@ -82,7 +88,7 @@ let gen_rules st =
        also exercise the compiled path's non-streaming plan shape. *)
     let aggregates =
       if Random.State.int st 100 < 25 then
-        let name, ar = pick st neg_pool in
+        let name, ar = pick st agg_pool in
         let grouped = ar >= 2 && Random.State.int st 2 = 0 in
         let args =
           List.init ar (fun k ->
