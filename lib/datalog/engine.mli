@@ -201,8 +201,9 @@ val maintain :
     deletions into an already-materialized stratified database,
     re-evaluating only the strata whose dependencies changed (see
     {!Maintain}). Unlike {!extend}/{!retract} this handles stratified
-    negation and aggregation (changed nonmonotonic strata are rebuilt
-    from the maintained strata below them). The database is mutated.
+    negation (deltas propagate through it) and aggregation (a stratum
+    aggregating over a changed predicate is rebuilt from the maintained
+    strata below it). The database is mutated.
     [Error] if the program is unstratified or a delta fact is
     non-ground. For repeated deltas keep a {!Maintain.t} handle
     instead — this entry point re-adopts the database on every call.

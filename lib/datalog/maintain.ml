@@ -37,24 +37,42 @@ type report = {
   per_stratum : stratum_report list;
 }
 
+(* A stratum with the predicates its rules read positively, under
+   negation and inside an aggregate; its maintenance steps are resolved
+   on first use and kept for the handle's lifetime. *)
+type stratum = {
+  rules : Rule.t list;
+  heads : SS.t;
+  pos : SS.t;
+  neg : SS.t;
+  agg : SS.t;
+  mutable steps : steps option;
+}
+
+and steps = {
+  focus : Seminaive.step list;  (* one per (rule, positive literal) *)
+  unblock : Seminaive.step list;
+      (* per negated literal [not q(args)]: the rule plus a positive
+         [q(args)] focused on removed [q] rows — the instances a removal
+         enables, checked against the new state *)
+  block : Seminaive.step list;
+      (* per negated literal: the rule with [not q(args)] turned into a
+         positive [q(args)] focused on added [q] rows and its other
+         negations dropped — an over-approximation of the instances an
+         addition disables (re-derivation re-checks full bodies) *)
+}
+
 type t = {
   max_term_depth : int;
   max_rounds : int;
   compiled : bool;
   pool : Pool.t option;
   mutable rules : Rule.t list;
-  mutable strata : Rule.t list list;
+  mutable strata : stratum list;
   mutable idb : SS.t;
   edb : Database.t;
   db : Database.t;
 }
-
-(* The derive entry used by every maintenance join: compiled plans by
-   default, the interpreted oracle when the handle was built with
-   [~compiled:false]. *)
-let derive t ?stats ~db ~neg ?focus r =
-  if t.compiled then Plan.derive ?stats ~db ~neg ?focus r
-  else Eval.derive ?stats ~db ~neg ?focus r
 
 let db t = t.db
 let edb t = t.edb
@@ -62,6 +80,73 @@ let rules t = t.rules
 
 let idb_of rules =
   List.fold_left (fun s r -> SS.add (Rule.head_pred r) s) SS.empty rules
+
+let stratum rules =
+  let preds f =
+    List.fold_left
+      (fun s (r : Rule.t) ->
+        List.fold_left
+          (fun s l -> List.fold_left (Fun.flip SS.add) s (f l))
+          s r.Rule.body)
+      SS.empty rules
+  in
+  let stored (a : Atom.t) =
+    if Literal.is_builtin a.Atom.pred then [] else [ a.Atom.pred ]
+  in
+  {
+    rules;
+    heads = idb_of rules;
+    pos = preds (function Literal.Pos a -> stored a | _ -> []);
+    neg = preds (function Literal.Neg a -> stored a | _ -> []);
+    agg =
+      preds (function
+        | Literal.Agg ag ->
+          List.map (fun (a : Atom.t) -> a.Atom.pred) ag.Literal.body
+        | _ -> []);
+    steps = None;
+  }
+
+let steps t stats st =
+  match st.steps with
+  | Some s -> s
+  | None ->
+    let step r i =
+      Seminaive.step ~stats ~compiled:t.compiled r ~focus:(Some i)
+    in
+    let per_negation f =
+      List.concat_map
+        (fun (r : Rule.t) ->
+          List.filter_map
+            (function
+              | Literal.Neg a when not (Literal.is_builtin a.Atom.pred) ->
+                Some (f r a)
+              | _ -> None)
+            r.Rule.body)
+        st.rules
+    in
+    let s =
+      {
+        focus =
+          List.concat_map
+            (Seminaive.focus_steps ~stats ~compiled:t.compiled)
+            st.rules;
+        unblock =
+          per_negation (fun r a ->
+              step
+                (Rule.make r.Rule.head (r.Rule.body @ [ Literal.Pos a ]))
+                (List.length r.Rule.body));
+        block =
+          per_negation (fun r a ->
+              let others =
+                List.filter
+                  (function Literal.Neg _ -> false | _ -> true)
+                  r.Rule.body
+              in
+              step (Rule.make r.Rule.head (Literal.Pos a :: others)) 0);
+      }
+    in
+    st.steps <- Some s;
+    s
 
 let unstratified_msg cycle =
   Printf.sprintf "not stratified (nonmonotonic cycle through %s)"
@@ -155,7 +240,7 @@ let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?(compiled = true) ?pool
         compiled;
         pool;
         rules;
-        strata;
+        strata = List.map stratum strata;
         idb = idb_of rules;
         edb;
         db;
@@ -191,53 +276,84 @@ let of_materialized ?(max_term_depth = 8) ?(max_rounds = 100_000)
     List.iter (fun f -> ignore (Database.add_fact edb f)) facts;
     if prewarm then warm_indexes db rules;
     Ok
-      { max_term_depth; max_rounds; compiled; pool; rules; strata; idb; edb; db }
+      {
+        max_term_depth;
+        max_rounds;
+        compiled;
+        pool;
+        rules;
+        strata = List.map stratum strata;
+        idb;
+        edb;
+        db;
+      }
 
-let too_deep t (a : Atom.t) =
-  List.exists (fun x -> Logic.Term.depth x > t.max_term_depth) a.Atom.args
+(* The rows of [preds] in [db], as a delta to seed a round from. *)
+let rows_in db preds : Seminaive.delta =
+  let d = Hashtbl.create 8 in
+  SS.iter
+    (fun p ->
+      match Database.relation_opt db p with
+      | Some rel when not (Relation.is_empty rel) ->
+        Hashtbl.replace d p (ref (Relation.fold_packed List.cons rel []))
+      | _ -> ())
+    preds;
+  d
+
+(* One maintenance fixpoint of [st]: a first round of the focus steps
+   over [focus_rows] and of [neg_steps] over [neg_rows], then semi-naive
+   rounds from whatever [accept] took. Returns (rounds, suppressed
+   heads). *)
+let seeded t stats st ~accept ~focus_rows ~neg_steps ~neg_rows =
+  let steps = (steps t stats st).focus in
+  let into = Hashtbl.create 16 in
+  let round from ss =
+    Seminaive.round ~stats ?pool:t.pool ~max_term_depth:t.max_term_depth
+      ~db:t.db ~neg:t.db ~accept ~from ~into ss
+  in
+  let supp = round focus_rows steps + round neg_rows neg_steps in
+  let rounds, supp' =
+    Seminaive.propagate ~stats ?pool:t.pool ~max_term_depth:t.max_term_depth
+      ~max_rounds:t.max_rounds ~db:t.db ~neg:t.db ~accept steps into
+  in
+  (rounds + 1, supp + supp')
 
 (* One stratum, propagate path, deletion side: delete-and-rederive
    (DRed). Facts already removed globally are restored for the duration
    of the over-deletion fixpoint so rule bodies join against the
    pre-deletion extents; candidates asserted in the base are immune.
+   Over-deletion is seeded by the removed rows under positive literals
+   and by the added rows under negated ones ([block] steps). Negations
+   read the restored database, which holds old and new extents of the
+   lower strata: an instance true before the update either has its
+   negated atoms absent there too, or is caught by a [block] step.
    [explicit] holds base-level retractions of this stratum's own head
    predicates: they join the re-derivation pool (a retracted base fact
    survives when rules still prove it) and [unremove] is called on the
    survivors so downstream strata stop treating them as deleted. *)
-let dred_stratum t stats rs ~removed_db ~explicit ~unremove ~note_removed =
+let dred_stratum t stats st ~added_db ~removed_db ~explicit ~unremove
+    ~note_removed =
   let restored =
     List.filter (fun f -> Database.add_fact t.db f) (Database.all_facts removed_db)
   in
   let overdel = Database.create () in
-  let rounds = ref 0 in
-  let rec over d =
-    if Database.cardinal d = 0 then ()
-    else begin
-      incr rounds;
-      if !rounds > t.max_rounds then
-        failwith "Maintain: max_rounds exceeded during over-deletion";
-      let next = Database.create () in
-      List.iter
-        (fun r ->
-          List.iter
-            (fun i ->
-              List.iter
-                (fun a ->
-                  if
-                    Database.mem t.db a
-                    && (not (Database.mem t.edb a))
-                    && not (Database.mem overdel a)
-                  then begin
-                    ignore (Database.add_fact overdel a);
-                    ignore (Database.add_fact next a)
-                  end)
-                (derive t ~stats ~db:t.db ~neg:t.db ~focus:(i, d) r))
-            (Eval.positive_positions r))
-        rs;
-      over next
-    end
+  let accept s =
+    let h = Seminaive.head s in
+    let mem db =
+      match Database.relation_opt db h with
+      | Some rel -> Relation.mem_packed rel
+      | None -> fun _ -> false
+    in
+    let live = mem t.db and base = mem t.edb in
+    let cands = Database.relation overdel h in
+    fun row -> live row && (not (base row)) && Relation.add_packed cands row
   in
-  over removed_db;
+  let rounds, _ =
+    seeded t stats st ~accept
+      ~focus_rows:(rows_in removed_db st.pos)
+      ~neg_steps:(steps t stats st).block
+      ~neg_rows:(rows_in added_db st.neg)
+  in
   List.iter (fun f -> ignore (Database.remove_fact t.db f)) restored;
   let candidates = Database.all_facts overdel in
   List.iter (fun f -> ignore (Database.remove_fact t.db f)) candidates;
@@ -253,7 +369,7 @@ let dred_stratum t stats rs ~removed_db ~explicit ~unremove ~note_removed =
         | Some s ->
           let body = List.map (Literal.apply s) r.Rule.body in
           Eval.solve_body ~stats ~db:t.db ~neg:t.db body <> [])
-      rs
+      st.rules
   in
   let pool =
     candidates
@@ -277,7 +393,7 @@ let dred_stratum t stats rs ~removed_db ~explicit ~unremove ~note_removed =
         note_removed f)
     candidates;
   List.iter (fun f -> if Database.mem t.db f then unremove f) explicit;
-  !rounds
+  rounds
 
 (* The shared stratum walk behind [apply] and [extend_rules].
    Precondition: [t.strata]/[t.idb] already reflect [new_rules], and the
@@ -314,20 +430,11 @@ let run_maintenance t ~new_rules ~additions ~deletions =
   let per_stratum = ref [] in
   let total_rounds = ref 0 in
   List.iteri
-    (fun si rs ->
-      if rs <> [] then begin
+    (fun si (st : stratum) ->
+      if st.rules <> [] then begin
         let delta_in = Database.cardinal added_db + Database.cardinal removed_db in
-        let heads =
-          List.fold_left (fun s r -> SS.add (Rule.head_pred r) s) SS.empty rs
-        in
-        let deps = List.concat_map Rule.body_predicates rs in
-        let pos_changed =
-          List.exists (fun (p, nm) -> (not nm) && SS.mem p !changed) deps
-        in
-        let neg_changed =
-          List.exists (fun (p, nm) -> nm && SS.mem p !changed) deps
-        in
-        let has_new = new_rules <> [] && List.exists is_new rs in
+        let changed_in preds = not (SS.disjoint preds !changed) in
+        let has_new = new_rules <> [] && List.exists is_new st.rules in
         let s_added = ref 0 and s_removed = ref 0 and s_rounds = ref 0 in
         let note_added (a : Atom.t) =
           ignore (Database.add_fact added_db a);
@@ -343,21 +450,18 @@ let run_maintenance t ~new_rules ~additions ~deletions =
            body dependency changed, the stratum must get a chance to
            re-derive them. *)
         let explicit_rm =
-          List.filter
-            (fun (a : Atom.t) -> SS.mem a.Atom.pred heads)
-            (Database.all_facts removed_db)
+          SS.fold (fun h acc -> Database.facts removed_db h @ acc) st.heads []
         in
         let action =
           if
-            (not pos_changed) && (not neg_changed) && (not has_new)
-            && explicit_rm = []
+            (not (changed_in st.pos || changed_in st.neg || changed_in st.agg))
+            && (not has_new) && explicit_rm = []
           then Skipped
-          else if neg_changed then begin
-            (* A nonmonotonic dependency saw its extent change: rebuild
-               just this stratum from the (already-maintained) strata
-               below it. *)
+          else if changed_in st.agg then begin
+            (* An aggregate's input changed: rebuild just this stratum
+               from the (already-maintained) strata below it. *)
             let old_facts =
-              SS.fold (fun h acc -> Database.facts t.db h @ acc) heads []
+              SS.fold (fun h acc -> Database.facts t.db h @ acc) st.heads []
             in
             List.iter (fun f -> ignore (Database.remove_fact t.db f)) old_facts;
             SS.iter
@@ -365,11 +469,11 @@ let run_maintenance t ~new_rules ~additions ~deletions =
                 List.iter
                   (fun f -> ignore (Database.add_fact t.db f))
                   (Database.facts t.edb h))
-              heads;
+              st.heads;
             let o =
               Seminaive.run ~stats ?pool:t.pool ~compiled:t.compiled
                 ~max_term_depth:t.max_term_depth ~max_rounds:t.max_rounds
-                ~neg:t.db rs t.db
+                ~neg:t.db st.rules t.db
             in
             skolems := !skolems + o.Seminaive.skolems_suppressed;
             s_rounds := o.Seminaive.rounds;
@@ -382,7 +486,7 @@ let run_maintenance t ~new_rules ~additions ~deletions =
                 List.iter
                   (fun f -> if not (Database.mem old_set f) then note_added f)
                   (Database.facts t.db h))
-              heads;
+              st.heads;
             List.iter
               (fun (a : Atom.t) ->
                 if Database.mem t.db a then
@@ -392,103 +496,61 @@ let run_maintenance t ~new_rules ~additions ~deletions =
           end
           else begin
             (* Propagate: deletions via DRed, then new-rule seeding, then
-               semi-naive insertion propagation focused on the delta. *)
-            let rem_relevant =
-              List.exists
-                (fun (p, nm) -> (not nm) && Database.count removed_db p > 0)
-                deps
+               semi-naive insertion focused on the accumulated delta —
+               added rows under positive literals, removed rows under
+               negated ones ([unblock] steps). *)
+            let any db preds =
+              SS.exists (fun p -> Database.count db p > 0) preds
             in
-            if rem_relevant || explicit_rm <> [] then begin
+            if any removed_db st.pos || any added_db st.neg || explicit_rm <> []
+            then begin
               let unremove (a : Atom.t) =
                 ignore (Database.remove_fact removed_db a)
               in
               s_rounds :=
                 !s_rounds
-                + dred_stratum t stats rs ~removed_db ~explicit:explicit_rm
-                    ~unremove ~note_removed
+                + dred_stratum t stats st ~added_db ~removed_db
+                    ~explicit:explicit_rm ~unremove ~note_removed
             end;
-            if has_new then
-              List.iter
-                (fun r ->
-                  if is_new r then
-                    List.iter
-                      (fun a ->
-                        if too_deep t a then incr skolems
-                        else if Database.add_fact t.db a then note_added a)
-                      (derive t ~stats ~db:t.db ~neg:t.db r))
-                rs;
-            let add_relevant =
-              List.exists
-                (fun (p, nm) -> (not nm) && Database.count added_db p > 0)
-                deps
+            let insert s =
+              let h = Seminaive.head s in
+              (* created on the first new row: an empty relation would
+                 still be written to checkpoints *)
+              let live = lazy (Database.relation t.db h) in
+              let added = lazy (Database.relation added_db h) in
+              fun row ->
+                Relation.add_packed (Lazy.force live) row
+                && begin
+                     ignore (Relation.add_packed (Lazy.force added) row);
+                     note_changed h;
+                     incr s_added;
+                     true
+                   end
             in
-            if add_relevant then begin
-              (* One (rule, focus) propagation batch: fanned out across
-                 the domain pool when the handle has one and the delta
-                 extent is big enough — same partitioned execution as
-                 Seminaive's round loop (DRed over-deletion above stays
-                 sequential: its batches are deletion-bounded and
-                 interleave with db mutation). The parallel branch
-                 filters skolem-deep heads inside [Parexec.run_delta]
-                 (same count, counted per emission either way). *)
-              let derive_batch r i d ~absorb =
-                let seq atoms =
-                  List.iter
-                    (fun a -> if too_deep t a then incr skolems else absorb a)
-                    atoms
-                in
-                match t.pool with
-                | Some _ when t.compiled -> (
-                  (* one Plan.lookup either way, so plan_cache_hits
-                     stays identical to the pool-less run *)
-                  let plan = Plan.lookup ~stats r ~focus:(Some i) in
-                  let rows =
-                    match Plan.focus_pred plan with
-                    | None -> []
-                    | Some fp -> (
-                      match Database.relation_opt d fp with
-                      | Some rel ->
-                        Relation.fold_packed (fun p acc -> p :: acc) rel []
-                      | None -> [])
-                  in
-                  match Parexec.eligible ~pool:t.pool plan rows with
-                  | Some pool ->
-                    let out, supp =
-                      Parexec.run_delta ~stats ~pool
-                        ~max_term_depth:t.max_term_depth ~db:t.db ~neg:t.db
-                        plan ~delta_rows:rows
-                    in
-                    skolems := !skolems + supp;
-                    List.iter
-                      (fun row ->
-                        absorb
-                          (Atom.make (Rule.head_pred r)
-                             (Tuple.Packed.to_list row)))
-                      out
-                  | None -> seq (Plan.run ~stats ~db:t.db ~neg:t.db ~delta:d plan))
-                | _ -> seq (derive t ~stats ~db:t.db ~neg:t.db ~focus:(i, d) r)
+            if has_new then
+              skolems :=
+                !skolems
+                + Seminaive.round ~stats ?pool:t.pool
+                    ~max_term_depth:t.max_term_depth ~db:t.db ~neg:t.db
+                    ~accept:insert ~from:(Hashtbl.create 1)
+                    ~into:(Hashtbl.create 16)
+                    (List.filter_map
+                       (fun r ->
+                         if is_new r then
+                           Some
+                             (Seminaive.step ~stats ~compiled:t.compiled r
+                                ~focus:None)
+                         else None)
+                       st.rules);
+            if any added_db st.pos || any removed_db st.neg then begin
+              let rounds, supp =
+                seeded t stats st ~accept:insert
+                  ~focus_rows:(rows_in added_db st.pos)
+                  ~neg_steps:(steps t stats st).unblock
+                  ~neg_rows:(rows_in removed_db st.neg)
               in
-              let rec prop rounds d =
-                if Database.cardinal d = 0 then rounds
-                else begin
-                  if rounds > t.max_rounds then
-                    failwith "Maintain: max_rounds exceeded during propagation";
-                  let next = Database.create () in
-                  List.iter
-                    (fun r ->
-                      List.iter
-                        (fun i ->
-                          derive_batch r i d ~absorb:(fun a ->
-                              if Database.add_fact t.db a then begin
-                                ignore (Database.add_fact next a);
-                                note_added a
-                              end))
-                        (Eval.positive_positions r))
-                    rs;
-                  prop (rounds + 1) next
-                end
-              in
-              s_rounds := !s_rounds + prop 0 (Database.copy added_db)
+              skolems := !skolems + supp;
+              s_rounds := !s_rounds + rounds
             end;
             Propagated
           end
@@ -560,7 +622,7 @@ let extend_rules t ?(delta = { additions = []; deletions = [] }) new_rules =
         | Error e -> Error e
         | Ok () ->
           t.rules <- rules;
-          t.strata <- strata;
+          t.strata <- List.map stratum strata;
           t.idb <- idb;
           warm_indexes t.db new_rules;
           Ok

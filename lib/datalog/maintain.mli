@@ -9,15 +9,22 @@
     Per stratum, the maintenance walk picks the cheapest sound path:
 
     - {b skip} — no body predicate of the stratum changed extent;
-    - {b propagate} — only positive dependencies changed: deletions run
-      delete-and-rederive (DRed: over-delete the consequences of the
-      removed facts, then re-derive survivors that still have an
-      alternative proof), insertions re-run the semi-naive [focus]
-      joins seeded with the accumulated delta;
-    - {b recompute} — a predicate read under negation (or inside an
-      aggregate) changed: the stratum is rebuilt from the maintained
-      strata below it, and the diff against its old extent continues
-      upward as the delta.
+    - {b propagate} — a predicate read positively or under negation
+      changed (DRed with stratified negation, Gupta, Mumick &
+      Subrahmanian 1993). A negated predicate lies in a lower stratum,
+      so it is fixed while this stratum's fixpoint runs. Deletions run
+      delete-and-rederive: over-delete the consequences of the removed
+      facts under positive literals and of the added facts under
+      negated ones, then re-derive the survivors that still have a
+      proof in the new state. Insertions run the semi-naive [focus]
+      joins over the added facts under positive literals and the
+      removed facts under negated ones, then propagate from what they
+      derive. Each round runs only the joins whose focus predicate has
+      rows in the delta ({!Seminaive.propagate}, the round loop shared
+      with materialization);
+    - {b recompute} — a predicate read inside an aggregate changed: the
+      stratum is rebuilt from the maintained strata below it, and the
+      diff against its old extent continues upward as the delta.
 
     This is the engine half of the mediator's registration/anchoring
     lifecycle (paper Fig. 3): a source pushing new observations, or a
@@ -96,12 +103,11 @@ val init :
     minimized rules replace the originals in the handle and deltas
     maintain the smaller bodies too.
 
-    [pool] parallelizes the initial materialization, insertion
-    propagation and stratum rebuilds across a domain pool for the
-    lifetime of the handle ({!Parexec}; compiled path only — DRed
-    over-deletion stays sequential, its batches interleave with
-    deletions). Maintained results and report counters are identical
-    with and without it. *)
+    [pool] parallelizes the initial materialization, propagation
+    (over-deletion and insertion) and stratum rebuilds across a domain
+    pool for the lifetime of the handle ({!Parexec}; compiled path
+    only). Maintained results and report counters are identical with
+    and without it. *)
 
 val of_materialized :
   ?max_term_depth:int ->

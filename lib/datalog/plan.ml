@@ -73,7 +73,7 @@ type t = {
   ops : op array;
   focus_pred : string option;
       (* predicate of the delta-focus literal, when compiled with one —
-         lets the caller hand the executor the delta rows directly *)
+         the relation [starved] checks in a delta database *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -384,8 +384,25 @@ let dummy = Term.Const (Term.Bool false)
 let no_probe1 : int -> Tuple.Packed.t list = fun _ -> []
 let no_proben : int array -> Tuple.Packed.t list = fun _ -> []
 
+(* A focus plan whose delta scan has no rows derives nothing. *)
+let starved ?delta ?delta_rows plan =
+  match plan.focus_pred with
+  | None -> false
+  | Some fp -> (
+    match delta_rows with
+    | Some rows -> ( match rows with [] -> true | _ :: _ -> false)
+    | None -> (
+      match Option.bind delta (fun d -> Database.relation_opt d fp) with
+      | Some rel -> Relation.is_empty rel
+      | None -> true))
+
+(* [exec_plan] returns before running any op when the plan is
+   [starved]: its non-delta prefix would be joins and scans whose every
+   extension dies at the empty delta scan. *)
 let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta ?delta_rows plan
     ~(emit : Term.t array -> int array -> unit) =
+  if starved ?delta ?delta_rows plan then ()
+  else
   let env = Array.make plan.nslots dummy in
   let env_ids = Array.make plan.nslots (-1) in
   let rec build = function
@@ -625,8 +642,6 @@ let derive ?stats ~db ~neg ?focus (r : Rule.t) =
   let plan = lookup ?stats r ~focus:focus_idx in
   run ?stats ~db ~neg ?delta plan
 
-let focus_pred plan = plan.focus_pred
-
 (* A plan can stream rows straight into its head relation while it
    executes iff doing so can never mutate a structure the executor is
    iterating. Delta scans read an immutable row list, keyed scans read
@@ -729,10 +744,3 @@ let run_rows ?stats ~max_term_depth ~db ~neg ?delta ?delta_rows plan =
       ~emit:(fun row -> rows := row :: !rows)
   in
   (!rows, suppressed)
-
-let derive_rows ?stats ~max_term_depth ~db ~neg ?focus (r : Rule.t) =
-  let focus_idx, delta =
-    match focus with Some (i, d) -> (Some i, Some d) | None -> (None, None)
-  in
-  let plan = lookup ?stats r ~focus:focus_idx in
-  run_rows ?stats ~max_term_depth ~db ~neg ?delta plan

@@ -125,11 +125,6 @@ val run_stream :
     derived (returning the suppression count), so a caller cleared by
     {!streamable} can absorb rows without buffering them first. *)
 
-val focus_pred : t -> string option
-(** Predicate of the plan's delta-focus literal, if compiled with one.
-    Lets a caller that keeps its own per-predicate delta rows hand them
-    to {!run_rows} via [delta_rows] without building a database. *)
-
 val run_rows :
   ?stats:Eval.stats ->
   max_term_depth:int ->
@@ -139,27 +134,17 @@ val run_rows :
   ?delta_rows:Tuple.Packed.t list ->
   t ->
   Tuple.Packed.t list * int
-(** Like {!run} but emits packed rows (see {!derive_rows}); for callers
-    that hold pre-resolved plans. [delta_rows], when given, feeds the
-    focus scan directly (taking precedence over [delta]) — the
-    semi-naive driver keeps each round's delta as per-predicate row
-    lists, not a database, because rows entering the delta are already
-    deduplicated by their insertion into the model. *)
-
-val derive_rows :
-  ?stats:Eval.stats ->
-  max_term_depth:int ->
-  db:Database.t ->
-  neg:Database.t ->
-  ?focus:int * Database.t ->
-  Logic.Rule.t ->
-  Tuple.Packed.t list * int
-(** Like {!derive} but emits packed rows directly (reusing the intern
-    ids already tracked by the executor, so absorbing a row into a
-    relation re-interns nothing) and applies the skolem depth guard
-    before packing — heads deeper than [max_term_depth] are counted in
-    the returned suppression count, not interned, not returned. The
-    hot path under {!Seminaive.run}. *)
+(** Like {!run} but emits packed rows, reusing the intern ids already
+    tracked by the executor, so absorbing a row into a relation
+    re-interns nothing; for callers that hold pre-resolved plans. The
+    skolem depth guard applies before packing: heads deeper than
+    [max_term_depth] are counted in the returned suppression count, not
+    interned, not returned. [delta_rows], when given, feeds the focus
+    scan directly (taking precedence over [delta]) — the semi-naive
+    driver keeps each round's delta as per-predicate row lists, not a
+    database, because rows entering the delta are already deduplicated
+    by their insertion into the model. A focus plan whose delta scan
+    has no rows returns before running any op. *)
 
 val cache_size : unit -> int
 val clear_cache : unit -> unit

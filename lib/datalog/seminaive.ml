@@ -1,197 +1,196 @@
 module Atom = Logic.Atom
 module Rule = Logic.Rule
+module Literal = Logic.Literal
 
 type outcome = { rounds : int; derived : int; skolems_suppressed : int }
+
+type delta = (string, Tuple.Packed.t list ref) Hashtbl.t
+
+(* One (rule, focus) evaluation, resolved once: [plan] is [None] on the
+   interpreted path (the differential-testing oracle). *)
+type step = {
+  rule : Rule.t;
+  focus : (int * string) option;  (* focus position and its predicate *)
+  plan : Plan.t option;
+  stream_ok : bool;
+}
+
+let head s = Rule.head_pred s.rule
+
+let step ?stats ~compiled (rule : Rule.t) ~focus =
+  let focus =
+    Option.map
+      (fun i ->
+        match List.nth rule.Rule.body i with
+        | Literal.Pos a -> (i, a.Atom.pred)
+        | _ -> invalid_arg "Seminaive.step: focus on a non-positive literal")
+      focus
+  in
+  if not compiled then { rule; focus; plan = None; stream_ok = false }
+  else
+    let plan = Plan.lookup ?stats rule ~focus:(Option.map fst focus) in
+    (* full evaluations and self-reading plans are buffered, not
+       streamed: streamed emissions would be visible to the plan's own
+       later probes, making results depend on whether the execution was
+       partitioned across domains (see Parexec) *)
+    {
+      rule;
+      focus;
+      plan = Some plan;
+      stream_ok =
+        focus <> None && Plan.streamable plan && not (Plan.reads_own_head plan);
+    }
+
+let focus_steps ?stats ~compiled r =
+  List.map
+    (fun i -> step ?stats ~compiled r ~focus:(Some i))
+    (Eval.positive_positions r)
 
 let too_deep max_term_depth (a : Atom.t) =
   List.exists (fun t -> Logic.Term.depth t > max_term_depth) a.Atom.args
 
-(* Interpreted path: the differential-testing oracle. Heads come back
-   as atoms and are re-packed by [Database.add_fact]. *)
-let run_interpreted ?stats ~max_term_depth ~max_rounds ~neg rules db =
-  let derived = ref 0 in
+(* Each step runs once: an unfocused step in full, a focused one over
+   [from]'s rows for its focus predicate — and not at all when there
+   are none. On the compiled path heads arrive as packed rows with
+   their intern ids already cached, so absorbing a row re-interns
+   nothing; rows stream into [accept] when the plan allows it
+   ([stream_ok]: then [accept] may insert into the plan's head relation
+   while it executes), otherwise they are buffered per execution. *)
+let run_round ?stats ?pool ~max_term_depth ~db ~neg ~(from : delta) ~into
+    steps =
   let suppressed = ref 0 in
-  let absorb ~into heads =
-    List.iter
-      (fun a ->
-        if too_deep max_term_depth a then incr suppressed
-        else if Database.add_fact db a then begin
-          incr derived;
-          ignore (Database.add_fact into a)
-        end)
-      heads
-  in
-  (* Round 1: full evaluation to seed the delta. Rules whose bodies read
-     only extensional predicates fire here and never again. *)
-  let delta0 = Database.create () in
-  List.iter (fun r -> absorb ~into:delta0 (Eval.derive ?stats ~db ~neg r)) rules;
-  let rec loop rounds delta =
-    if Database.cardinal delta = 0 then rounds
-    else begin
-      if rounds >= max_rounds then
-        failwith "Seminaive.run: max_rounds exceeded (diverging program?)";
-      let next = Database.create () in
-      List.iter
-        (fun r ->
-          List.iter
-            (fun i ->
-              absorb ~into:next
-                (Eval.derive ?stats ~db ~neg ~focus:(i, delta) r))
-            (Eval.positive_positions r))
-        rules;
-      loop (rounds + 1) next
-    end
-  in
-  let rounds = loop 1 delta0 in
-  { rounds; derived = !derived; skolems_suppressed = !suppressed }
-
-(* Compiled path: rule bodies run through cached {!Plan}s and heads
-   arrive as packed rows with their intern ids already cached, so
-   absorbing a row into the model re-interns nothing. Rows are buffered
-   per derive call (never streamed), so a rule scanning its own head
-   predicate cannot observe a relation mutating under its iteration.
-
-   Each round's delta is a per-predicate list of rows, not a database:
-   a row enters the delta exactly when its insertion into the model
-   succeeded, so the delta needs no deduplication of its own — and the
-   focus scan is a full scan either way (see [Plan]), so losing the
-   hash set costs nothing. *)
-let run_compiled ?stats ?pool ~max_term_depth ~max_rounds ~neg rules db =
-  let derived = ref 0 in
-  let suppressed = ref 0 in
-  let absorb ~(into : (string, Tuple.Packed.t list ref) Hashtbl.t) pred rel
-      (rows, supp) =
-    suppressed := !suppressed + supp;
-    let fresh =
-      List.filter
-        (fun row ->
-          if Relation.add_packed rel row then begin
-            incr derived;
-            true
-          end
-          else false)
-        rows
-    in
-    (* only touch the delta table when something was new: an
-       all-duplicate batch must not leave an empty bucket behind (the
-       round loop treats a non-empty table as "one more round") *)
-    if fresh <> [] then begin
-      let bucket =
-        match Hashtbl.find_opt into pred with
-        | Some b -> b
-        | None ->
-          let b = ref [] in
-          Hashtbl.add into pred b;
-          b
-      in
-      bucket := List.rev_append fresh !bucket
-    end
-  in
-  let run_plan ?delta_rows plan =
-    Plan.run_rows ?stats ~max_term_depth ~db ~neg ?delta_rows plan
-  in
-  (* Resolve plans and head relations once up front — the round loop
-     must not pay the plan-cache lookup (which hashes the whole rule)
-     or the predicate-name lookup per rule per round. *)
-  let head_rel r = Database.relation db (Rule.head_pred r) in
-  let seed_plans =
-    List.map
-      (fun r -> (Rule.head_pred r, head_rel r, Plan.lookup ?stats r ~focus:None))
-      rules
-  in
-  let delta_plans =
-    List.concat_map
-      (fun r ->
-        List.map
-          (fun i ->
-            let plan = Plan.lookup ?stats r ~focus:(Some i) in
-            (* self-reading plans are buffered, not streamed: streamed
-               emissions would be visible to the plan's own later
-               probes, making results depend on whether the execution
-               was partitioned across domains (see Parexec) *)
-            let stream_ok =
-              Plan.streamable plan && not (Plan.reads_own_head plan)
-            in
-            ( Rule.head_pred r,
-              head_rel r,
-              Plan.focus_pred plan,
-              stream_ok,
-              plan ))
-          (Eval.positive_positions r))
-      rules
-  in
-  let delta0 = Hashtbl.create 16 in
   List.iter
-    (fun (pred, rel, plan) -> absorb ~into:delta0 pred rel (run_plan plan))
-    seed_plans;
+    (fun (s, keep) ->
+      let rows =
+        match s.focus with
+        | None -> Some []
+        | Some (_, fp) -> Option.map ( ! ) (Hashtbl.find_opt from fp)
+      in
+      match rows with
+      | None -> ()
+      | Some delta_rows ->
+        let pred = head s in
+        (* the bucket is resolved on the first accepted row, so an
+           execution that derives nothing new leaves [into] untouched
+           (a non-empty delta means one more round) *)
+        let bucket = ref None in
+        let add row =
+          if keep row then begin
+            let b =
+              match !bucket with
+              | Some b -> b
+              | None ->
+                let b =
+                  match Hashtbl.find_opt into pred with
+                  | Some b -> b
+                  | None ->
+                    let b = ref [] in
+                    Hashtbl.add into pred b;
+                    b
+                in
+                bucket := Some b;
+                b
+            in
+            b := row :: !b
+          end
+        in
+        let buffered (out, supp) =
+          List.iter add out;
+          supp
+        in
+        let supp =
+          match s.plan with
+          | None ->
+            let focus =
+              Option.map
+                (fun (i, fp) ->
+                  let d = Database.create () in
+                  let rel = Database.relation d fp in
+                  List.iter
+                    (fun r -> ignore (Relation.add_packed rel r))
+                    delta_rows;
+                  (i, d))
+                s.focus
+            in
+            List.fold_left
+              (fun supp (a : Atom.t) ->
+                if too_deep max_term_depth a then supp + 1
+                else begin
+                  add (Tuple.Packed.of_list a.Atom.args);
+                  supp
+                end)
+              0
+              (Eval.derive ?stats ~db ~neg ?focus s.rule)
+          | Some plan -> (
+            match Parexec.eligible ~pool plan delta_rows with
+            | Some pool ->
+              buffered
+                (Parexec.run_delta ?stats ~pool ~max_term_depth ~db ~neg plan
+                   ~delta_rows)
+            | None when s.stream_ok ->
+              Plan.run_stream ?stats ~max_term_depth ~db ~neg ~delta_rows plan
+                ~emit:add
+            | None ->
+              buffered
+                (Plan.run_rows ?stats ~max_term_depth ~db ~neg ~delta_rows
+                   plan))
+        in
+        suppressed := !suppressed + supp)
+    steps;
+  !suppressed
+
+(* [accept] is resolved once per step, not per execution *)
+let with_accept accept steps = List.map (fun s -> (s, accept s)) steps
+
+let round ?stats ?pool ~max_term_depth ~db ~neg ~accept ~from ~into steps =
+  run_round ?stats ?pool ~max_term_depth ~db ~neg ~from ~into
+    (with_accept accept steps)
+
+let propagate ?stats ?pool ~max_term_depth ~max_rounds ~db ~neg ~accept steps
+    delta =
+  let steps = with_accept accept steps in
+  let suppressed = ref 0 in
   let rec loop rounds delta =
     if Hashtbl.length delta = 0 then rounds
     else begin
       if rounds >= max_rounds then
-        failwith "Seminaive.run: max_rounds exceeded (diverging program?)";
+        failwith "Seminaive: max_rounds exceeded (diverging program?)";
       let next = Hashtbl.create 16 in
-      List.iter
-        (fun (pred, rel, focus_pred, stream_ok, plan) ->
-          let rows =
-            match focus_pred with
-            | None -> Some []
-            | Some fp -> (
-              match Hashtbl.find_opt delta fp with
-              | Some b -> Some !b
-              | None -> None)
-          in
-          (* no delta rows for the focus predicate: the plan cannot
-             fire this round, skip the execution outright *)
-          match rows with
-          | None -> ()
-          | Some delta_rows -> (
-            match Parexec.eligible ~pool plan delta_rows with
-            | Some pool ->
-              absorb ~into:next pred rel
-                (Parexec.run_delta ?stats ~pool ~max_term_depth ~db ~neg plan
-                   ~delta_rows)
-            | None ->
-            if stream_ok then begin
-              (* stream rows into the model as they are derived — no
-                 intermediate buffer; the bucket is resolved on the
-                 first genuinely new row so all-duplicate executions
-                 leave the delta table untouched *)
-              let bucket = ref None in
-              let supp =
-                Plan.run_stream ?stats ~max_term_depth ~db ~neg ~delta_rows
-                  plan ~emit:(fun row ->
-                    if Relation.add_packed rel row then begin
-                      incr derived;
-                      let b =
-                        match !bucket with
-                        | Some b -> b
-                        | None ->
-                          let b =
-                            match Hashtbl.find_opt next pred with
-                            | Some b -> b
-                            | None ->
-                              let b = ref [] in
-                              Hashtbl.add next pred b;
-                              b
-                          in
-                          bucket := Some b;
-                          b
-                      in
-                      b := row :: !b
-                    end)
-              in
-              suppressed := !suppressed + supp
-            end
-            else absorb ~into:next pred rel (run_plan ~delta_rows plan)))
-        delta_plans;
+      suppressed :=
+        !suppressed
+        + run_round ?stats ?pool ~max_term_depth ~db ~neg ~from:delta
+            ~into:next steps;
       loop (rounds + 1) next
     end
   in
-  let rounds = loop 1 delta0 in
-  { rounds; derived = !derived; skolems_suppressed = !suppressed }
+  let rounds = loop 0 delta in
+  (rounds, !suppressed)
 
 let run ?stats ?pool ?(compiled = true) ?(max_term_depth = 8)
     ?(max_rounds = 100_000) ~neg rules db =
-  if compiled then
-    run_compiled ?stats ?pool ~max_term_depth ~max_rounds ~neg rules db
-  else run_interpreted ?stats ~max_term_depth ~max_rounds ~neg rules db
+  let derived = ref 0 in
+  let accept s =
+    let rel = Database.relation db (head s) in
+    fun row ->
+      Relation.add_packed rel row
+      && begin
+           incr derived;
+           true
+         end
+  in
+  (* Plans are resolved once up front: the round loop must not pay the
+     plan-cache lookup (which hashes the whole rule) per rule per round.
+     Round 1 evaluates every rule in full to seed the delta; rules whose
+     bodies read only lower predicates fire there and never again. *)
+  let seeds = List.map (fun r -> step ?stats ~compiled r ~focus:None) rules in
+  let steps = List.concat_map (focus_steps ?stats ~compiled) rules in
+  let delta0 = Hashtbl.create 16 in
+  let supp0 =
+    round ?stats ?pool ~max_term_depth ~db ~neg ~accept
+      ~from:(Hashtbl.create 1) ~into:delta0 seeds
+  in
+  let rounds, supp =
+    propagate ?stats ?pool ~max_term_depth ~max_rounds:(max_rounds - 1) ~db
+      ~neg ~accept steps delta0
+  in
+  { rounds = rounds + 1; derived = !derived; skolems_suppressed = supp0 + supp }

@@ -232,8 +232,17 @@ let run_case seed =
   (* a batch delta equals re-materializing the updated EDB *)
   let d = gen_delta st ~edb_facts ~idb in
   let full' = Engine.materialize p (updated_edb edb d) in
-  ignore (fail_on_error "apply batch" (Maintain.apply h d));
+  let rep = fail_on_error "apply batch" (Maintain.apply h d) in
   check_same (ctx "batch delta == re-materialize") (Maintain.db h) full';
+  (* only a changed aggregate input rebuilds a stratum: negation
+     propagates its deltas *)
+  let aggregates (r : Rule.t) =
+    List.exists (function Literal.Agg _ -> true | _ -> false) r.Rule.body
+  in
+  if not (List.exists aggregates rules) then
+    Alcotest.(check int)
+      (ctx "no aggregate: recomputed = 0")
+      0 rep.Maintain.recomputed;
   (* one-fact-at-a-time deltas land in the same state *)
   let h1 = fresh () in
   List.iter
@@ -381,6 +390,131 @@ let kernel_counters () =
   Alcotest.(check int) "interpreted: plan_cache_hits = 0" 0
     !rep_i.Engine.plan_cache_hits
 
+(* ------------------------------------------------------------------ *)
+(* Deltas through negation: each case maintains a handle through one
+   batch and compares it with materializing the updated base from
+   scratch; none may rebuild a stratum. *)
+
+let negation_case ~rules ~edb ~additions ~deletions name () =
+  let p = Program.make_exn rules in
+  let edb = Database.of_facts edb in
+  let d = Maintain.delta ~additions ~deletions () in
+  let full = Engine.materialize p (updated_edb edb d) in
+  List.iter
+    (fun compiled ->
+      let ctx what =
+        Printf.sprintf "%s (%s): %s" name
+          (if compiled then "compiled" else "interpreted")
+          what
+      in
+      match Maintain.init ~compiled p edb with
+      | Error e -> Alcotest.failf "%s" (ctx e)
+      | Ok h -> (
+        match Maintain.apply h d with
+        | Error e -> Alcotest.failf "%s" (ctx e)
+        | Ok rep ->
+          check_same (ctx "maintained == re-materialized") (Maintain.db h) full;
+          Alcotest.(check int) (ctx "recomputed") 0 rep.Maintain.recomputed))
+    [ true; false ]
+
+let negation_cases =
+  let v = Term.var and c = Term.sym in
+  let a1 p x = Atom.make p [ c x ] and a2 p x y = Atom.make p [ c x; c y ] in
+  [
+    ( "two negated atoms added in one batch",
+      negation_case
+        ~rules:
+          [
+            Rule.make
+              (Atom.make "h" [ v "X" ])
+              [
+                Literal.pos "p" [ v "X" ];
+                Literal.neg "q" [ v "X" ];
+                Literal.neg "s" [ v "X" ];
+              ];
+          ]
+        ~edb:[ a1 "p" "a"; a1 "p" "b" ]
+        ~additions:[ a1 "q" "a"; a1 "s" "a" ]
+        ~deletions:[] );
+    ( "a negated removal re-enables a recursive stratum",
+      negation_case
+        ~rules:
+          [
+            Rule.make
+              (Atom.make "reach" [ v "X"; v "Y" ])
+              [
+                Literal.pos "edge" [ v "X"; v "Y" ];
+                Literal.neg "blocked" [ v "X"; v "Y" ];
+              ];
+            Rule.make
+              (Atom.make "reach" [ v "X"; v "Z" ])
+              [
+                Literal.pos "reach" [ v "X"; v "Y" ];
+                Literal.pos "edge" [ v "Y"; v "Z" ];
+                Literal.neg "blocked" [ v "Y"; v "Z" ];
+              ];
+          ]
+        ~edb:
+          [
+            a2 "edge" "a" "b"; a2 "edge" "b" "c"; a2 "edge" "c" "d";
+            a2 "edge" "d" "b"; a2 "blocked" "b" "c";
+          ]
+        ~additions:[]
+        ~deletions:[ a2 "blocked" "b" "c" ] );
+    ( "retracting a base fact the rules still prove inserts nothing",
+      negation_case
+        ~rules:
+          [
+            Rule.make (Atom.make "q" [ v "X" ]) [ Literal.pos "r" [ v "X" ] ];
+            Rule.make
+              (Atom.make "h" [ v "X" ])
+              [ Literal.pos "p" [ v "X" ]; Literal.neg "q" [ v "X" ] ];
+          ]
+        ~edb:[ a1 "p" "a"; a1 "r" "a"; a1 "q" "a" ]
+        ~additions:[]
+        ~deletions:[ a1 "q" "a" ] );
+    ( "one batch adds to and removes from a negated predicate",
+      negation_case
+        ~rules:
+          [
+            Rule.make
+              (Atom.make "h" [ v "X" ])
+              [ Literal.pos "p" [ v "X" ]; Literal.neg "q" [ v "X" ] ];
+          ]
+        ~edb:[ a1 "p" "a"; a1 "p" "b"; a1 "p" "c"; a1 "q" "a"; a1 "q" "c" ]
+        ~deletions:[ a1 "q" "a"; a1 "q" "c" ]
+        ~additions:[ a1 "q" "b"; a1 "q" "c" ] );
+  ]
+
+(* A focus plan over an empty delta returns before running any op, even
+   when its literal order puts a join ahead of the delta scan. *)
+let starved_focus () =
+  let v = Term.var and c = Term.sym in
+  let r =
+    Rule.make
+      (Atom.make "h" [ v "X"; v "Y" ])
+      [ Literal.pos "e" [ v "X"; v "Y" ]; Literal.pos "d" [ v "Y" ] ]
+  in
+  let plan = Datalog.Plan.compile ~order:[ 0; 1 ] r ~focus:(Some 1) in
+  let db = Database.of_facts [ Atom.make "e" [ c "a"; c "b" ] ] in
+  let check what run =
+    let stats = Datalog.Eval.new_stats () in
+    Alcotest.(check int) (what ^ ": no heads") 0 (run stats);
+    Alcotest.(check (pair int int))
+      (what ^ ": joins, tuples_scanned")
+      (0, 0)
+      (Atomic.get stats.Datalog.Eval.joins,
+       Atomic.get stats.Datalog.Eval.tuples_scanned)
+  in
+  check "empty delta_rows" (fun stats ->
+      List.length
+        (fst
+           (Datalog.Plan.run_rows ~stats ~max_term_depth:8 ~db ~neg:db
+              ~delta_rows:[] plan)));
+  check "no focus relation in delta" (fun stats ->
+      List.length
+        (Datalog.Plan.run ~stats ~db ~neg:db ~delta:(Database.create ()) plan))
+
 let suites =
   [
     ( "differential",
@@ -393,5 +527,10 @@ let suites =
           wf_report;
         Alcotest.test_case "compiled kernel fills the plan counters" `Quick
           kernel_counters;
-      ] );
+        Alcotest.test_case "a starved focus plan runs no op" `Quick
+          starved_focus;
+      ]
+      @ List.map
+          (fun (name, f) -> Alcotest.test_case name `Quick (f name))
+          negation_cases );
   ]

@@ -383,6 +383,114 @@ let test_incremental_updates () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown source accepted"
 
+(* The flagship maintained configuration (IC mode, no inheritance,
+   durable): a mixed stream of additions and deletions over all three
+   sources must be absorbed by maintenance without rebuilding a
+   stratum, end equal to a from-scratch mediator over the updated
+   sources, and recover from checkpoint plus WAL to the live state. *)
+let test_ic_federation_updates () =
+  let config fs =
+    {
+      Mediator.default_config with
+      Mediator.dl_mode = Dl.Translate.Ic;
+      inheritance = false;
+      durability =
+        Option.map
+          (fun fs -> { Datalog.Engine.fs; wal_max_bytes = 1_000_000 })
+          fs;
+    }
+  in
+  let small = { Neuro.Sources.seed = 3; scale = 8 } in
+  let object_of source k =
+    let id = s (Printf.sprintf "upd_%s_%d" source k) in
+    let mv m x = Molecule.Meth_val (id, m, x) in
+    let f = Logic.Term.float and str = Logic.Term.str in
+    match source with
+    | "SYNAPSE" ->
+      [
+        Molecule.Isa (id, s "spine_measure");
+        mv "diameter" (f (0.3 +. (0.1 *. float_of_int (k mod 6))));
+        mv "location"
+          (s (if k mod 2 = 0 then "pyramidal_cell" else "dendrite"));
+        mv "species" (str "rat");
+      ]
+    | "NCMIR" ->
+      [
+        Molecule.Isa (id, s "protein_amount");
+        mv "protein_name"
+          (s (List.nth Neuro.Sources.proteins
+                (k mod List.length Neuro.Sources.proteins)));
+        mv "location" (s (if k mod 2 = 0 then "spine" else "purkinje_cell"));
+        mv "amount" (f (float_of_int k));
+        mv "organism" (str "rat");
+      ]
+    | _ ->
+      [
+        Molecule.Isa (id, s "neurotransmission");
+        mv "organism" (str "rat");
+        mv "transmitting_neuron" (s "granule_cell");
+        mv "transmitting_compartment" (s "parallel_fiber");
+        mv "receiving_neuron" (s "purkinje_cell");
+        mv "receiving_compartment"
+          (s (if k mod 2 = 0 then "spine" else "dendrite"));
+        mv "neurotransmitter" (s "glutamate");
+      ]
+  in
+  (* every fourth update deletes the source's oldest live addition *)
+  let updates =
+    let live = Hashtbl.create 3 in
+    List.init 20 (fun k ->
+        let source = List.nth [ "SYNAPSE"; "NCMIR"; "SENSELAB" ] (k mod 3) in
+        match Hashtbl.find_opt live source with
+        | Some (mols :: rest) when k mod 4 = 3 ->
+          Hashtbl.replace live source rest;
+          (source, [], mols)
+        | prev ->
+          let mols = object_of source k in
+          Hashtbl.replace live source
+            (Option.value prev ~default:[] @ [ mols ]);
+          (source, mols, []))
+  in
+  let push med (source, additions, deletions) =
+    Mediator.update_source med ~source ~additions ~deletions ()
+  in
+  let fs = Wrapper.Crashpoint.fs (Wrapper.Crashpoint.create ()) in
+  let med = Neuro.Sources.standard_mediator ~config:(config (Some fs)) small in
+  ignore (Mediator.materialize med);
+  List.iteri
+    (fun k u ->
+      match push med u with
+      | Ok (Some rep) ->
+        Alcotest.(check int)
+          (Printf.sprintf "update %d: recomputed" k)
+          0 rep.Datalog.Maintain.recomputed
+      | Ok None -> Alcotest.failf "update %d was not maintained" k
+      | Error e -> Alcotest.fail e)
+    updates;
+  let live = Mediator.materialize med in
+  (* a mediator that has not materialized yet only updates its stores *)
+  let replayed config =
+    let m = Neuro.Sources.standard_mediator ~config small in
+    List.iter
+      (fun u ->
+        match push m u with
+        | Ok None -> ()
+        | Ok (Some _) -> Alcotest.fail "store update went through maintenance"
+        | Error e -> Alcotest.fail e)
+      updates;
+    m
+  in
+  let scratch = replayed (config None) in
+  Alcotest.(check bool) "maintained == from scratch" true
+    (Datalog.Database.equal live (Mediator.materialize scratch));
+  let recovered = replayed (config (Some fs)) in
+  (match Mediator.recover recovered with
+  | Ok true -> ()
+  | Ok false -> Alcotest.fail "no checkpoint found"
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "recovered == live" true
+    (Datalog.Database.equal live (Mediator.materialize recovered))
+
 let suites =
   [
     ( "mediator.namespace",
@@ -397,6 +505,8 @@ let suites =
         Alcotest.test_case "register via XML" `Quick test_register_via_xml;
         Alcotest.test_case "consistency" `Quick test_consistency_check;
         Alcotest.test_case "incremental updates" `Quick test_incremental_updates;
+        Alcotest.test_case "IC federation: 20 updates, none rebuilt" `Quick
+          test_ic_federation_updates;
       ] );
     ( "mediator.selection",
       [ Alcotest.test_case "semantic index" `Quick test_source_selection ] );
