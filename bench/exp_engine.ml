@@ -1,6 +1,7 @@
-(* A1 — engine ablation: semi-naive vs naive evaluation on closure
-   workloads (the engine underlies everything the mediator does; the
-   paper's FLORA relies on the same property via tabling).
+(* A1 — engine ablation: the engine's compiled semi-naive evaluation
+   vs the naive reference oracle (Datalog.Naive) on closure workloads
+   (the engine underlies everything the mediator does; the paper's
+   FLORA relies on the same property via tabling).
 
    A2 — plug-in overhead: translating the same CM through each XML
    dialect vs consuming native GCM, demonstrating the "single GCM
@@ -29,29 +30,37 @@ let chain n =
            [ s (Printf.sprintf "n%d" k); s (Printf.sprintf "n%d" (k + 1)) ]))
 
 let a1 () =
-  Util.header "A1  Engine ablation: semi-naive vs naive evaluation";
+  Util.header "A1  Engine ablation: compiled semi-naive vs the naive oracle";
   let rows =
     List.map
       (fun n ->
         let p = Datalog.Program.make_exn (tc_rules @ chain n) in
-        let run strategy report =
+        let rs = ref Engine.empty_report in
+        let ms_semi =
           Util.time_median ~reps:3 (fun () ->
-              ignore
-                (Engine.materialize
-                   ~config:{ Engine.default_config with Engine.strategy }
-                   ~report p (Datalog.Database.create ())))
+              ignore (Engine.materialize ~report:rs p (Datalog.Database.create ())))
         in
-        let rn = ref Engine.empty_report in
-        let rs = ref !rn in
-        let ms_naive = run Engine.Naive rn in
-        let ms_semi = run Engine.Seminaive rs in
+        let ms_naive =
+          Util.time_median ~reps:3 (fun () ->
+              ignore (Datalog.Naive.materialize p (Datalog.Database.create ())))
+        in
+        (* the oracle's scan count, from one untimed run of its single
+           (tc) stratum *)
+        let naive_scans =
+          let facts, rules = Datalog.Program.split_facts p in
+          let db = Datalog.Database.of_facts facts in
+          let stats = Datalog.Eval.new_stats () in
+          ignore
+            (Datalog.Naive.run ~stats ~neg:db (Datalog.Program.rules rules) db);
+          Atomic.get stats.Datalog.Eval.tuples_scanned
+        in
         [
           Util.fint n;
           Util.fint !rs.Engine.derived;
           Util.fms ms_semi;
           Util.fint !rs.Engine.tuples_scanned;
           Util.fms ms_naive;
-          Util.fint !rn.Engine.tuples_scanned;
+          Util.fint naive_scans;
           Printf.sprintf "%.1fx" (ms_naive /. max 0.001 ms_semi);
         ])
       [ 32; 64; 128; 256 ]
@@ -68,7 +77,9 @@ let a1 () =
 
 (* A4: incremental maintenance — a new source registers (or a wrapper
    streams fresh observations) and the mediated closure must absorb the
-   delta without re-materializing. *)
+   delta without re-materializing. Each repetition builds a fresh
+   maintenance handle outside the timed region and times only
+   [Maintain.apply]. *)
 let a4 () =
   Util.header "A4  Incremental maintenance: absorb a delta vs re-materialize";
   let rows =
@@ -76,18 +87,27 @@ let a4 () =
       (fun n ->
         let base = chain n in
         let p = Datalog.Program.make_exn (tc_rules @ base) in
+        (* one edge at the chain's frontier: every node reaches the new
+           one, so absorbing it derives n + 1 tc facts *)
         let delta =
           Logic.Atom.make "edge"
-            [ s (Printf.sprintf "n%d" (n + 1)); s (Printf.sprintf "n%d" (n + 2)) ]
+            [ s (Printf.sprintf "n%d" n); s (Printf.sprintf "n%d" (n + 1)) ]
         in
-        (* measure just the delta absorption on a prebuilt database *)
-        let prebuilt = Engine.materialize p (Datalog.Database.create ()) in
+        let absorb () =
+          let h =
+            Result.get_ok (Datalog.Maintain.init p (Datalog.Database.create ()))
+          in
+          snd
+            (Util.time_once (fun () ->
+                 match
+                   Datalog.Maintain.apply h
+                     (Datalog.Maintain.delta ~additions:[ delta ] ())
+                 with
+                 | Ok _ -> ()
+                 | Error e -> failwith e))
+        in
         let ms_incr =
-          Util.time_median ~reps:3 (fun () ->
-              let db = Datalog.Database.copy prebuilt in
-              match Engine.extend p db [ delta ] with
-              | Ok _ -> ()
-              | Error e -> failwith e)
+          List.nth (List.sort compare (List.init 3 (fun _ -> absorb ()))) 1
         in
         let ms_rebuild =
           Util.time_median ~reps:3 (fun () ->
@@ -108,8 +128,8 @@ let a4 () =
   Util.table
     ~columns:[ "chain"; "absorb delta ms"; "re-materialize ms"; "speedup" ]
     rows;
-  Util.note "shape check: the delta touches one frontier, so absorption cost";
-  Util.note "is near-flat while re-materialization grows with the closure."
+  Util.note "shape check: absorption grows with the n + 1 facts the frontier";
+  Util.note "edge derives, re-materialization with the whole closure."
 
 (* A3: tabled top-down vs full materialization on selective goals —
    the goal-directedness FLORA gets from XSB's tabling. Workload:

@@ -181,32 +181,22 @@ let write_json = Util.write_json
 let key name = String.map (fun c -> if c = '-' then '_' else c) name
 
 let run () =
-  Util.header "JOIN  Join-kernel overhaul: compiled plans vs interpreted vs pre-PR";
-  let interpreted_config =
-    { Engine.default_config with Engine.compiled_plans = false }
-  in
+  Util.header "JOIN  Join-kernel overhaul: compiled plans vs pre-PR";
   let results =
     List.map
       (fun (name, p) ->
         let ms, rep = measure ~config:Engine.default_config p in
-        let ms_interp, rep_interp = measure ~config:interpreted_config p in
-        if rep.Engine.derived <> rep_interp.Engine.derived then
-          failwith
-            (Printf.sprintf
-               "join bench: compiled and interpreted kernels disagree on %s \
-                (%d vs %d derived)"
-               name rep.Engine.derived rep_interp.Engine.derived);
-        (name, ms, ms_interp, rep))
+        (name, ms, rep))
       (workloads ~full:true)
   in
   Util.table
     ~columns:
       [
-        "workload"; "derived"; "rounds"; "idx-hits"; "plan-hits"; "interp-ms";
-        "ms"; "pre-PR-ms"; "speedup";
+        "workload"; "derived"; "rounds"; "idx-hits"; "plan-hits"; "ms";
+        "pre-PR-ms"; "speedup";
       ]
     (List.map
-       (fun (name, ms, ms_interp, rep) ->
+       (fun (name, ms, rep) ->
          let base = List.assoc name baselines in
          [
            name;
@@ -214,7 +204,6 @@ let run () =
            Util.fint rep.Engine.rounds;
            Util.fint rep.Engine.index_hits;
            Util.fint rep.Engine.plan_cache_hits;
-           Util.fms ms_interp;
            Util.fms ms;
            Util.fms base;
            Printf.sprintf "%.1fx" (base /. ms);
@@ -238,12 +227,11 @@ let run () =
          machine, fastest of 5 repetitions\"" );
     ]
     @ List.concat_map
-        (fun (name, ms, ms_interp, rep) ->
+        (fun (name, ms, rep) ->
           let k = key name in
           let base = List.assoc name baselines in
           [
             (k ^ "_compiled_ms", Printf.sprintf "%.3f" ms);
-            (k ^ "_interpreted_ms", Printf.sprintf "%.3f" ms_interp);
             (k ^ "_baseline_ms", Printf.sprintf "%.3f" base);
             (k ^ "_speedup", Printf.sprintf "%.2f" (base /. ms));
             (k ^ "_derived", string_of_int rep.Engine.derived);

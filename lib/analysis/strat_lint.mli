@@ -1,7 +1,7 @@
 (** Pass 2 — stratification analysis.
 
-    Where {!Datalog.Engine.Unstratified} carries a bare predicate list,
-    this pass extracts an {e actual} offending cycle through the
+    Where {!Datalog.Stratify.rules_by_stratum} returns a bare predicate
+    list, this pass extracts an {e actual} offending cycle through the
     dependency graph — the path a reader can follow to see why the
     program destratifies — and flags the rules that sit on it.
 
@@ -30,7 +30,9 @@ val lint :
   ?loc:(int -> Logic.Rule.t -> Diagnostic.location) ->
   Datalog.Program.t ->
   Diagnostic.t list
-(** [fallback_ok] defaults to [true], matching
-    {!Datalog.Engine.default_config.allow_wellfounded_fallback}.
+(** [fallback_ok] defaults to [true]: {!Datalog.Engine.materialize}
+    always falls back to the well-founded semantics on an unstratified
+    program; [false] is for callers that require stratification
+    ([kindctl lint --strict]).
     [loc] maps a rule index and rule to its diagnostic location
     (default: no source position). *)

@@ -1,8 +1,6 @@
 module Atom = Logic.Atom
 module Subst = Logic.Subst
 
-type strategy = Naive | Seminaive
-
 type cost_oracle = {
   order : Logic.Rule.t -> focus:int option -> int list option;
   estimate : string -> int option;
@@ -17,11 +15,8 @@ let durability ?(wal_max_bytes = 1_000_000) ~dir () =
   { fs = Codec.real_fs ~root:dir; wal_max_bytes }
 
 type config = {
-  strategy : strategy;
   max_term_depth : int;
   max_rounds : int;
-  allow_wellfounded_fallback : bool;
-  compiled_plans : bool;
   prune : (Logic.Rule.t list -> Database.t -> Logic.Rule.t list) option;
   minimize : (Logic.Rule.t list -> Logic.Rule.t list) option;
   cost_oracle : cost_oracle option;
@@ -31,11 +26,8 @@ type config = {
 
 let default_config =
   {
-    strategy = Seminaive;
     max_term_depth = 8;
     max_rounds = 100_000;
-    allow_wellfounded_fallback = true;
-    compiled_plans = true;
     prune = None;
     minimize = None;
     cost_oracle = None;
@@ -60,13 +52,8 @@ let effective_durability config =
 let effective_domains config =
   if config.domains > 0 then min config.domains 64 else Pool.env_domains ()
 
-(* Parallel evaluation needs the compiled-plan kernel (the interpreted
-   path shares no partitionable delta representation), so the pool is
-   only engaged when both are on. *)
-let pool_of config =
-  if config.compiled_plans then Pool.get (effective_domains config) else None
+let pool_of config = Pool.get (effective_domains config)
 
-exception Unstratified of string list
 exception Undefined_atoms of int
 
 type report = {
@@ -134,22 +121,6 @@ let est_vs_actual_of (o : cost_oracle) db =
       (0.0, 0) (Database.predicates db)
   in
   if n = 0 then 0.0 else exp (logs /. float_of_int n)
-
-let run_stratum config ?pool stats rules db =
-  match config.strategy with
-  | Seminaive ->
-    let o =
-      Seminaive.run ~stats ?pool ~compiled:config.compiled_plans
-        ~max_term_depth:config.max_term_depth ~max_rounds:config.max_rounds
-        ~neg:db rules db
-    in
-    (o.Seminaive.rounds, o.Seminaive.derived, o.Seminaive.skolems_suppressed)
-  | Naive ->
-    let o =
-      Naive.run ~stats ~max_term_depth:config.max_term_depth
-        ~max_rounds:config.max_rounds ~neg:db rules db
-    in
-    (o.Naive.rounds, o.Naive.derived, o.Naive.skolems_suppressed)
 
 let materialize ?(config = default_config) ?report p edb =
   let stats = Eval.new_stats () in
@@ -225,10 +196,13 @@ let materialize ?(config = default_config) ?report p edb =
       List.iter
         (fun rules ->
           if rules <> [] then begin
-            let r, d, s = run_stratum config ?pool stats rules db in
-            rounds := !rounds + r;
-            derived := !derived + d;
-            skolems := !skolems + s
+            let o =
+              Seminaive.run ~stats ?pool ~max_term_depth:config.max_term_depth
+                ~max_rounds:config.max_rounds ~neg:db rules db
+            in
+            rounds := !rounds + o.Seminaive.rounds;
+            derived := !derived + o.Seminaive.derived;
+            skolems := !skolems + o.Seminaive.skolems_suppressed
           end)
         strata;
       let checkpoint_ms, wal_bytes =
@@ -265,12 +239,10 @@ let materialize ?(config = default_config) ?report p edb =
         ~strata:(List.length strata)
         ~rounds:!rounds ~derived:!derived ~skolems:!skolems ~result:db;
       db
-    | Error cycle ->
-      if not config.allow_wellfounded_fallback then raise (Unstratified cycle);
+    | Error _ ->
       let model =
-        Wellfounded.compute ~stats ?pool ~compiled:config.compiled_plans
-          ~max_term_depth:config.max_term_depth ~max_rounds:config.max_rounds
-          p db
+        Wellfounded.compute ~stats ?pool ~max_term_depth:config.max_term_depth
+          ~max_rounds:config.max_rounds p db
       in
       let undef = Database.cardinal model.Wellfounded.undefined in
       if undef > 0 then raise (Undefined_atoms undef);
@@ -281,146 +253,18 @@ let materialize ?(config = default_config) ?report p edb =
         ~skolems:0 ~result:model.Wellfounded.true_facts;
       model.Wellfounded.true_facts
   in
-  (* the oracle is consulted by [Plan.lookup], which the strategies call
-     deep inside their drivers (semi-naive resolves every plan up
-     front) — so install it around the whole evaluation *)
+  (* the oracle is consulted by [Plan.lookup], which [Seminaive] calls
+     deep inside its round loop (it resolves every plan up front) — so
+     install it around the whole evaluation *)
   match config.cost_oracle with
   | None -> eval ()
   | Some o -> Plan.with_oracle o.order eval
-
-(* derive through the join kernel selected by [config]. *)
-let config_derive config ?stats ~db ~neg ?focus r =
-  if config.compiled_plans then Plan.derive ?stats ~db ~neg ?focus r
-  else Eval.derive ?stats ~db ~neg ?focus r
-
-let extend ?(config = default_config) p db new_facts =
-  let nonmono =
-    List.exists
-      (fun r -> List.exists snd (Logic.Rule.body_predicates r))
-      (Program.rules p)
-  in
-  if nonmono then
-    Error
-      "Engine.extend: the program has negation/aggregation; incremental \
-       addition is not monotone — re-materialize instead"
-  else begin
-    let facts, p = Program.split_facts p in
-    ignore facts;
-    let rules = Program.rules p in
-    let added = ref 0 in
-    let delta0 = Database.create () in
-    List.iter
-      (fun f ->
-        if Database.add_fact db f then begin
-          incr added;
-          ignore (Database.add_fact delta0 f)
-        end)
-      new_facts;
-    let too_deep (a : Atom.t) =
-      List.exists
-        (fun t -> Logic.Term.depth t > config.max_term_depth)
-        a.Atom.args
-    in
-    let rec loop rounds delta =
-      if Database.cardinal delta = 0 then ()
-      else begin
-        if rounds >= config.max_rounds then
-          failwith "Engine.extend: max_rounds exceeded";
-        let next = Database.create () in
-        List.iter
-          (fun r ->
-            List.iter
-              (fun i ->
-                List.iter
-                  (fun a ->
-                    if (not (too_deep a)) && Database.add_fact db a then begin
-                      incr added;
-                      ignore (Database.add_fact next a)
-                    end)
-                  (config_derive config ~db ~neg:db ~focus:(i, delta) r))
-              (Eval.positive_positions r))
-          rules;
-        loop (rounds + 1) next
-      end
-    in
-    loop 0 delta0;
-    Ok !added
-  end
-
-let retract ?(config = default_config) p db facts_to_remove =
-  let nonmono =
-    List.exists
-      (fun r -> List.exists snd (Logic.Rule.body_predicates r))
-      (Program.rules p)
-  in
-  if nonmono then
-    Error
-      "Engine.retract: the program has negation/aggregation; DRed here \
-       supports only positive stratified programs — re-materialize instead"
-  else begin
-    let _, p = Program.split_facts p in
-    let rules = Program.rules p in
-    (* 1. over-delete: propagate deletion candidates through the rules
-       (body joins still run against the pre-deletion database). *)
-    let deleted = Database.create () in
-    let delta0 = Database.create () in
-    List.iter
-      (fun f ->
-        if Database.mem db f && Database.add_fact deleted f then
-          ignore (Database.add_fact delta0 f))
-      facts_to_remove;
-    let rec overdelete delta =
-      if Database.cardinal delta = 0 then ()
-      else begin
-        let next = Database.create () in
-        List.iter
-          (fun r ->
-            List.iter
-              (fun i ->
-                List.iter
-                  (fun a ->
-                    if Database.mem db a && not (Database.mem deleted a) then begin
-                      ignore (Database.add_fact deleted a);
-                      ignore (Database.add_fact next a)
-                    end)
-                  (config_derive config ~db ~neg:db ~focus:(i, delta) r))
-              (Eval.positive_positions r))
-          rules;
-        overdelete next
-      end
-    in
-    overdelete delta0;
-    (* 2. physically remove the over-deleted facts. *)
-    List.iter (fun f -> ignore (Database.remove_fact db f)) (Database.all_facts deleted);
-    (* 3. re-derive: candidates (excluding the explicitly retracted
-       facts) that still have a proof from the remaining database. *)
-    let explicitly_removed = Database.of_facts facts_to_remove in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun r ->
-          List.iter
-            (fun a ->
-              if
-                Database.mem deleted a
-                && (not (Database.mem explicitly_removed a))
-                && Database.add_fact db a
-              then changed := true)
-            (config_derive config ~db ~neg:db r))
-        rules
-    done;
-    let gone =
-      List.filter (fun f -> not (Database.mem db f)) (Database.all_facts deleted)
-    in
-    Ok (List.length gone)
-  end
 
 let maintain ?(config = default_config) ?report p db delta =
   let pool = pool_of config in
   match
     Maintain.of_materialized ?pool ~max_term_depth:config.max_term_depth
-      ~max_rounds:config.max_rounds ~compiled:config.compiled_plans p db
+      ~max_rounds:config.max_rounds p db
   with
   | Error e -> Error e
   | Ok h -> (
@@ -559,8 +403,7 @@ let recover ?(config = default_config) ?report p =
             match
               Maintain.of_materialized ?pool:(pool_of config)
                 ~max_term_depth:config.max_term_depth
-                ~max_rounds:config.max_rounds
-                ~compiled:config.compiled_plans ~edb:snap.Snapshot.edb
+                ~max_rounds:config.max_rounds ~edb:snap.Snapshot.edb
                 ~prewarm:false p db
             with
             | Error e -> Error ("Engine.recover: " ^ e)

@@ -1,11 +1,13 @@
-(** Engine facade: stratified materialization with a choice of strategy,
-    automatic fallback to the well-founded semantics, and conjunctive
-    querying of materialized databases.
+(** Engine facade: stratified materialization by compiled semi-naive
+    evaluation, automatic fallback to the well-founded semantics,
+    incremental maintenance, durability, and conjunctive querying of
+    materialized databases.
 
     This is the single deductive engine the mediator architecture calls
-    for ("the mediator needs only a single GCM engine", Section 2). *)
-
-type strategy = Naive | Seminaive
+    for ("the mediator needs only a single GCM engine", Section 2). It
+    has one bottom-up evaluator ({!Seminaive} over compiled {!Plan}s);
+    the naive interpreter {!Naive} is the reference oracle the tests
+    check it against, and no production path calls it. *)
 
 type cost_oracle = {
   order : Logic.Rule.t -> focus:int option -> int list option;
@@ -45,22 +47,12 @@ val wal_file : string
     durability [fs] root. *)
 
 type config = {
-  strategy : strategy;
   max_term_depth : int;
       (** skolem guard: derived facts containing terms nested deeper
           than this are suppressed (domain-map assertions create
           placeholder objects [f_{C,r,D}(x)]; the bound keeps chained
           assertions terminating) *)
   max_rounds : int;
-  allow_wellfounded_fallback : bool;
-      (** when [false], {!materialize} raises {!Unstratified} instead of
-          switching to the alternating fixpoint *)
-  compiled_plans : bool;
-      (** evaluate rule bodies through cached compiled plans
-          ({!Plan}; the default) instead of the interpreted
-          {!Eval.solve_body} path. Same models, same join order — the
-          interpreted path is kept as the differential-testing oracle
-          and is what [strategy = Naive] always uses. *)
   prune : (Logic.Rule.t list -> Database.t -> Logic.Rule.t list) option;
       (** dead-rule pruning hook, run by {!materialize} after program
           facts are loaded and before evaluation. The hook receives the
@@ -91,9 +83,7 @@ type config = {
           batches on a shared [n]-lane domain pool. Parallel and
           sequential evaluation produce identical databases and
           identical report counters (see DESIGN.md §13); only
-          [domains_used] / [parallel_batches] differ. Requires
-          [compiled_plans]; the interpreted path is always
-          sequential. *)
+          [domains_used] / [parallel_batches] differ. *)
   durability : durability option;
       (** when set, {!materialize} writes a checkpoint of the stratified
           result (and compacts the WAL), {!maintain} appends each batch
@@ -108,7 +98,6 @@ type config = {
 
 val default_config : config
 
-exception Unstratified of string list
 exception Undefined_atoms of int
 (** Raised by {!materialize} when the well-founded fallback leaves atoms
     undefined: a materialized database cannot represent three-valued
@@ -126,8 +115,7 @@ type report = {
       (** join steps answered by probing a signature index rather than
           scanning the extent *)
   plan_cache_hits : int;
-      (** compiled-plan lookups answered from the global plan cache
-          (0 when [config.compiled_plans] is false) *)
+      (** compiled-plan lookups answered from the global plan cache *)
   strata_skipped : int;
       (** maintenance only: strata left untouched because no dependency
           changed extent (0 for a full materialization) *)
@@ -175,21 +163,6 @@ val materialize :
     IDB facts. [edb] is not mutated. Ground facts contained in [p]
     itself are added first. *)
 
-val extend :
-  ?config:config ->
-  Program.t ->
-  Database.t ->
-  Logic.Atom.t list ->
-  (int, string) result
-(** Incremental maintenance: add new ground facts to an
-    already-materialized database and propagate their consequences
-    semi-naively (only joins touching the delta re-run). Returns the
-    number of new facts (input + derived). Restrictions: the program
-    must be stratified and {e negation-free and aggregate-free in the
-    affected strata} — deletions/additions under negation would need
-    DRed-style over-deletion, which this engine does not implement;
-    [Error] explains when that applies. The database is mutated. *)
-
 val maintain :
   ?config:config ->
   ?report:report ref ->
@@ -200,10 +173,9 @@ val maintain :
 (** Incremental view maintenance: absorb a batch of EDB insertions and
     deletions into an already-materialized stratified database,
     re-evaluating only the strata whose dependencies changed (see
-    {!Maintain}). Unlike {!extend}/{!retract} this handles stratified
-    negation (deltas propagate through it) and aggregation (a stratum
-    aggregating over a changed predicate is rebuilt from the maintained
-    strata below it). The database is mutated.
+    {!Maintain}): deltas propagate through stratified negation, and a
+    stratum aggregating over a changed predicate is rebuilt from the
+    maintained strata below it. The database is mutated.
     [Error] if the program is unstratified or a delta fact is
     non-ground. For repeated deltas keep a {!Maintain.t} handle
     instead — this entry point re-adopts the database on every call.
@@ -228,20 +200,6 @@ val recover :
     [p] no longer stratifies over the snapshot. The report's
     [recovery_ms] / [wal_bytes] fields are filled; [strata] / [rounds] /
     [derived] echo the checkpoint's saved counters. *)
-
-val retract :
-  ?config:config ->
-  Program.t ->
-  Database.t ->
-  Logic.Atom.t list ->
-  (int, string) result
-(** Incremental deletion by delete-and-rederive (DRed): over-delete
-    every fact whose known derivations touch the retracted facts, then
-    re-derive the survivors that still have alternative proofs.
-    Returns the number of facts that actually disappeared. The
-    explicitly retracted facts themselves are kept out even if rules
-    could re-derive them. Same restrictions as {!extend} (positive
-    stratified programs). The database is mutated. *)
 
 val query :
   ?stats:Eval.stats -> Database.t -> Logic.Literal.t list -> Logic.Subst.t list

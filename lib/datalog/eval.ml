@@ -153,13 +153,10 @@ let eval_agg stats ~neg s (ag : Literal.agg) =
           | None -> acc)))
     groups []
 
-let solve_body ?(stats = no_stats) ~db ~neg ?focus lits =
+let solve_body ?(stats = no_stats) ~db ~neg lits =
   let lits = Array.of_list lits in
   let n = Array.length lits in
   let used = Array.make n false in
-  let focus_idx, focus_db =
-    match focus with Some (i, d) -> (i, Some d) | None -> (-1, None)
-  in
   (* Greedy order: all substitutions at the same step share the same set
      of bound variables, so evaluability is a property of the step. *)
   let rec step bound ss remaining =
@@ -176,8 +173,8 @@ let solve_body ?(stats = no_stats) ~db ~neg ?focus lits =
           || List.for_all (fun x -> SS.mem x bound) (Term.vars t2)
         | l -> List.for_all (fun x -> SS.mem x bound) (Literal.needs l)
       in
-      (* Prefer the focus literal, then positive atoms with many bound
-         variables (more selective joins), then tests/aggregates. *)
+      (* Prefer positive atoms with many bound variables (more
+         selective joins), then tests/aggregates. *)
       let score i =
         match lits.(i) with
         | Literal.Pos a ->
@@ -185,7 +182,7 @@ let solve_body ?(stats = no_stats) ~db ~neg ?focus lits =
           let boundness =
             List.length (List.filter (fun x -> SS.mem x bound) vs)
           in
-          if i = focus_idx then 1000 + boundness else 100 + boundness
+          100 + boundness
         | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> 500
         | Literal.Agg _ -> 10
       in
@@ -204,11 +201,7 @@ let solve_body ?(stats = no_stats) ~db ~neg ?focus lits =
           | Literal.Pos a when Literal.is_builtin a.Atom.pred ->
             List.filter (fun s -> eval_builtin (Atom.apply s a)) ss
           | Literal.Pos a ->
-            let rel =
-              match focus_db with
-              | Some d when i = focus_idx -> rel_of d a.Atom.pred
-              | _ -> rel_of db a.Atom.pred
-            in
+            let rel = rel_of db a.Atom.pred in
             List.concat_map (fun s -> extend_pos stats rel s a) ss
           | Literal.Neg a ->
             (* The greedy order only reaches a negated literal once all
@@ -247,8 +240,8 @@ let solve_body ?(stats = no_stats) ~db ~neg ?focus lits =
   in
   step SS.empty [ Subst.empty ] n
 
-let derive ?stats ~db ~neg ?focus (r : Rule.t) =
-  let ss = solve_body ?stats ~db ~neg ?focus r.Rule.body in
+let derive ?stats ~db ~neg (r : Rule.t) =
+  let ss = solve_body ?stats ~db ~neg r.Rule.body in
   List.map (fun s -> Atom.apply s r.Rule.head) ss
 
 let positive_positions (r : Rule.t) =

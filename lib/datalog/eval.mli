@@ -1,13 +1,16 @@
-(** Rule-body evaluation: the join machinery shared by naive,
-    semi-naive and well-founded evaluation.
+(** Interpreted rule-body evaluation: the join machinery of the naive
+    reference oracle ({!Naive}), of single-literal queries
+    ({!Engine.query}), of goal-directed re-derivation in maintenance and
+    of provenance and containment checks; also the evaluation counters
+    and the builtin/aggregate semantics the compiled kernel ({!Plan})
+    shares.
 
     A body is solved left-to-right after a greedy reorder that always
     picks an evaluable literal (one whose {!Logic.Literal.needs} are
-    bound). Positive atoms read from [db] — except one optional
-    [focus] literal which reads from a delta database (the semi-naive
-    trick). Negated atoms and aggregate literals read from [neg], which
-    equals [db] for stratified evaluation and is a fixed candidate model
-    during the well-founded alternating fixpoint. *)
+    bound). Positive atoms read from [db]. Negated atoms and aggregate
+    literals read from [neg], which equals [db] for stratified
+    evaluation and is a fixed candidate model during the well-founded
+    alternating fixpoint. *)
 
 type stats = {
   joins : int Atomic.t;  (** positive-literal extension steps *)
@@ -45,18 +48,15 @@ val solve_body :
   ?stats:stats ->
   db:Database.t ->
   neg:Database.t ->
-  ?focus:int * Database.t ->
   Logic.Literal.t list ->
   Logic.Subst.t list
 (** All substitutions (restricted to body variables) satisfying the
-    body. [focus = (i, delta)] forces the [i]-th literal (0-based, must
-    be positive) to match against [delta] instead of [db]. *)
+    body. *)
 
 val derive :
   ?stats:stats ->
   db:Database.t ->
   neg:Database.t ->
-  ?focus:int * Database.t ->
   Logic.Rule.t ->
   Logic.Atom.t list
 (** Head instances derivable by one rule. All returned atoms are ground

@@ -65,7 +65,6 @@ and steps = {
 type t = {
   max_term_depth : int;
   max_rounds : int;
-  compiled : bool;
   pool : Pool.t option;
   mutable rules : Rule.t list;
   mutable strata : stratum list;
@@ -106,13 +105,11 @@ let stratum rules =
     steps = None;
   }
 
-let steps t stats st =
+let steps stats st =
   match st.steps with
   | Some s -> s
   | None ->
-    let step r i =
-      Seminaive.step ~stats ~compiled:t.compiled r ~focus:(Some i)
-    in
+    let step r i = Seminaive.step ~stats r ~focus:(Some i) in
     let per_negation f =
       List.concat_map
         (fun (r : Rule.t) ->
@@ -126,10 +123,7 @@ let steps t stats st =
     in
     let s =
       {
-        focus =
-          List.concat_map
-            (Seminaive.focus_steps ~stats ~compiled:t.compiled)
-            st.rules;
+        focus = List.concat_map (Seminaive.focus_steps ~stats) st.rules;
         unblock =
           per_negation (fun r a ->
               step
@@ -192,8 +186,8 @@ let warm_indexes db rules =
         body_atoms)
     rules
 
-let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?(compiled = true) ?pool
-    ?prune ?minimize p edb0 =
+let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?pool ?prune ?minimize
+    p edb0 =
   let facts, p' = Program.split_facts p in
   (* Semantic minimization rewrites rules to equivalent ones with fewer
      body atoms; unlike [prune] it is valid for every database, so the
@@ -228,8 +222,8 @@ let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?(compiled = true) ?pool
         let rs = List.filter keep rs in
         if rs <> [] then
           ignore
-            (Seminaive.run ~stats ?pool ~compiled ~max_term_depth ~max_rounds
-               ~neg:db rs db))
+            (Seminaive.run ~stats ?pool ~max_term_depth ~max_rounds ~neg:db rs
+               db))
       strata;
     let rules = Program.rules p' in
     warm_indexes db rules;
@@ -237,7 +231,6 @@ let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?(compiled = true) ?pool
       {
         max_term_depth;
         max_rounds;
-        compiled;
         pool;
         rules;
         strata = List.map stratum strata;
@@ -246,8 +239,8 @@ let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?(compiled = true) ?pool
         db;
       }
 
-let of_materialized ?(max_term_depth = 8) ?(max_rounds = 100_000)
-    ?(compiled = true) ?pool ?edb:edb0 ?(prewarm = true) p db =
+let of_materialized ?(max_term_depth = 8) ?(max_rounds = 100_000) ?pool
+    ?edb:edb0 ?(prewarm = true) p db =
   let facts, p' = Program.split_facts p in
   match Stratify.rules_by_stratum p' with
   | Error cycle -> Error ("Maintain.of_materialized: " ^ unstratified_msg cycle)
@@ -279,7 +272,6 @@ let of_materialized ?(max_term_depth = 8) ?(max_rounds = 100_000)
       {
         max_term_depth;
         max_rounds;
-        compiled;
         pool;
         rules;
         strata = List.map stratum strata;
@@ -305,7 +297,7 @@ let rows_in db preds : Seminaive.delta =
    rounds from whatever [accept] took. Returns (rounds, suppressed
    heads). *)
 let seeded t stats st ~accept ~focus_rows ~neg_steps ~neg_rows =
-  let steps = (steps t stats st).focus in
+  let steps = (steps stats st).focus in
   let into = Hashtbl.create 16 in
   let round from ss =
     Seminaive.round ~stats ?pool:t.pool ~max_term_depth:t.max_term_depth
@@ -351,7 +343,7 @@ let dred_stratum t stats st ~added_db ~removed_db ~explicit ~unremove
   let rounds, _ =
     seeded t stats st ~accept
       ~focus_rows:(rows_in removed_db st.pos)
-      ~neg_steps:(steps t stats st).block
+      ~neg_steps:(steps stats st).block
       ~neg_rows:(rows_in added_db st.neg)
   in
   List.iter (fun f -> ignore (Database.remove_fact t.db f)) restored;
@@ -471,9 +463,8 @@ let run_maintenance t ~new_rules ~additions ~deletions =
                   (Database.facts t.edb h))
               st.heads;
             let o =
-              Seminaive.run ~stats ?pool:t.pool ~compiled:t.compiled
-                ~max_term_depth:t.max_term_depth ~max_rounds:t.max_rounds
-                ~neg:t.db st.rules t.db
+              Seminaive.run ~stats ?pool:t.pool ~max_term_depth:t.max_term_depth
+                ~max_rounds:t.max_rounds ~neg:t.db st.rules t.db
             in
             skolems := !skolems + o.Seminaive.skolems_suppressed;
             s_rounds := o.Seminaive.rounds;
@@ -537,16 +528,14 @@ let run_maintenance t ~new_rules ~additions ~deletions =
                     (List.filter_map
                        (fun r ->
                          if is_new r then
-                           Some
-                             (Seminaive.step ~stats ~compiled:t.compiled r
-                                ~focus:None)
+                           Some (Seminaive.step ~stats r ~focus:None)
                          else None)
                        st.rules);
             if any added_db st.pos || any removed_db st.neg then begin
               let rounds, supp =
                 seeded t stats st ~accept:insert
                   ~focus_rows:(rows_in added_db st.pos)
-                  ~neg_steps:(steps t stats st).unblock
+                  ~neg_steps:(steps stats st).unblock
                   ~neg_rows:(rows_in removed_db st.neg)
               in
               skolems := !skolems + supp;

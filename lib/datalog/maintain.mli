@@ -77,7 +77,6 @@ type t
 val init :
   ?max_term_depth:int ->
   ?max_rounds:int ->
-  ?compiled:bool ->
   ?pool:Pool.t ->
   ?prune:(Logic.Rule.t list -> Database.t -> Logic.Rule.t list) ->
   ?minimize:(Logic.Rule.t list -> Logic.Rule.t list) ->
@@ -105,14 +104,12 @@ val init :
 
     [pool] parallelizes the initial materialization, propagation
     (over-deletion and insertion) and stratum rebuilds across a domain
-    pool for the lifetime of the handle ({!Parexec}; compiled path
-    only). Maintained results and report counters are identical with
-    and without it. *)
+    pool for the lifetime of the handle ({!Parexec}). Maintained
+    results and report counters are identical with and without it. *)
 
 val of_materialized :
   ?max_term_depth:int ->
   ?max_rounds:int ->
-  ?compiled:bool ->
   ?pool:Pool.t ->
   ?edb:Database.t ->
   ?prewarm:bool ->

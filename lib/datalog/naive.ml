@@ -29,3 +29,16 @@ let run ?stats ?(max_term_depth = 8) ?(max_rounds = 100_000) ~neg rules db =
       rules
   done;
   { rounds = !rounds; derived = !derived; skolems_suppressed = !suppressed }
+
+let materialize ?max_term_depth p edb =
+  let facts, p = Program.split_facts p in
+  match Stratify.rules_by_stratum p with
+  | Error cycle ->
+    invalid_arg
+      ("Naive.materialize: not stratified (cycle through "
+      ^ String.concat ", " cycle ^ ")")
+  | Ok strata ->
+    let db = Database.copy edb in
+    List.iter (fun f -> ignore (Database.add_fact db f)) facts;
+    List.iter (fun rules -> ignore (run ?max_term_depth ~neg:db rules db)) strata;
+    db

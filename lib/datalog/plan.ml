@@ -9,7 +9,7 @@ module SS = Set.Make (String)
    [Eval.solve_body] run once at compile time, variables numbered into
    slots of a fixed-size environment array, and every positive literal
    turned into an indexed lookup with precomputed key extractors. The
-   interpreter in [Eval] stays as the differential-testing oracle.
+   naive interpreter ([Naive] over [Eval]) is the reference oracle.
 
    Alongside each term slot the executor tracks the column's intern id
    when it is known (slots bound from stored rows carry the row's
@@ -71,9 +71,7 @@ type t = {
   head : hcol array;
   nslots : int;
   ops : op array;
-  focus_pred : string option;
-      (* predicate of the delta-focus literal, when compiled with one —
-         the relation [starved] checks in a delta database *)
+  focused : bool;  (* compiled with a delta-focus literal *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -167,8 +165,9 @@ let compile ?order (r : Rule.t) ~focus =
       }
   in
   (* Greedy order: identical evaluability and scoring to
-     [Eval.solve_body], so compiled and interpreted evaluation pick the
-     same join order — only here it runs once, not per round. *)
+     [Eval.solve_body] (plus a preference for the focus literal), so an
+     unfocused plan and the interpreter pick the same join order — only
+     here it runs once, not per round. *)
   let lits = Array.of_list r.Rule.body in
   let n = Array.length lits in
   let used = Array.make n false in
@@ -284,12 +283,7 @@ let compile ?order (r : Rule.t) ~focus =
     head;
     nslots = max 1 !nslots;
     ops = Array.of_list (List.rev !ops);
-    focus_pred =
-      (if focus_idx < 0 then None
-       else
-         match lits.(focus_idx) with
-         | Literal.Pos a -> Some a.Atom.pred
-         | _ -> None);
+    focused = focus_idx >= 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -297,8 +291,8 @@ let compile ?order (r : Rule.t) ~focus =
 
 type oracle = Rule.t -> focus:int option -> int list option
 
-(* Module-level installation point: evaluation strategies resolve plans
-   through [lookup] deep inside their drivers, so the engine installs
+(* Module-level installation point: [Seminaive] resolves plans
+   through [lookup] deep inside its round loop, so the engine installs
    the oracle around a whole materialization rather than threading it
    through every signature. Single-threaded by construction. *)
 let oracle_ref : oracle option ref = ref None
@@ -385,23 +379,16 @@ let no_probe1 : int -> Tuple.Packed.t list = fun _ -> []
 let no_proben : int array -> Tuple.Packed.t list = fun _ -> []
 
 (* A focus plan whose delta scan has no rows derives nothing. *)
-let starved ?delta ?delta_rows plan =
-  match plan.focus_pred with
-  | None -> false
-  | Some fp -> (
-    match delta_rows with
-    | Some rows -> ( match rows with [] -> true | _ :: _ -> false)
-    | None -> (
-      match Option.bind delta (fun d -> Database.relation_opt d fp) with
-      | Some rel -> Relation.is_empty rel
-      | None -> true))
+let starved ?delta_rows plan =
+  plan.focused
+  && match delta_rows with Some (_ :: _) -> false | Some [] | None -> true
 
 (* [exec_plan] returns before running any op when the plan is
    [starved]: its non-delta prefix would be joins and scans whose every
    extension dies at the empty delta scan. *)
-let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta ?delta_rows plan
+let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta_rows plan
     ~(emit : Term.t array -> int array -> unit) =
-  if starved ?delta ?delta_rows plan then ()
+  if starved ?delta_rows plan then ()
   else
   let env = Array.make plan.nslots dummy in
   let env_ids = Array.make plan.nslots (-1) in
@@ -464,13 +451,7 @@ let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta ?delta_rows plan
     (fun i op ->
       match op with
       | Scan sc ->
-        if sc.from_delta then (
-          match delta_rows with
-          | Some rows -> scan_rows.(i) <- Some rows
-          | None -> (
-            match delta with
-            | None -> ()
-            | Some d -> rels.(i) <- Database.relation_opt d sc.pred))
+        if sc.from_delta then scan_rows.(i) <- delta_rows
         else (
           match Database.relation_opt db sc.pred with
           | None -> ()
@@ -522,7 +503,7 @@ let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta ?delta_rows plan
           match rels.(i) with
           | None -> ()
           | Some rel ->
-            if not sc.from_delta then Eval.bump stats.Eval.joins 1;
+            Eval.bump stats.Eval.joins 1;
             if Array.length sc.positions = 0 then
               Relation.iter_packed row_action.(i) rel
             else if Array.length sc.positions = 1 then begin
@@ -629,19 +610,6 @@ let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta ?delta_rows plan
     plan.ops;
   exec 0
 
-let run ?stats ~db ~neg ?delta plan =
-  let acc = ref [] in
-  exec_plan ?stats ~db ~neg ?delta plan ~emit:(fun args _ids ->
-      acc := Atom.make plan.head_pred (Array.to_list args) :: !acc);
-  !acc
-
-let derive ?stats ~db ~neg ?focus (r : Rule.t) =
-  let focus_idx, delta =
-    match focus with Some (i, d) -> (Some i, Some d) | None -> (None, None)
-  in
-  let plan = lookup ?stats r ~focus:focus_idx in
-  run ?stats ~db ~neg ?delta plan
-
 (* A plan can stream rows straight into its head relation while it
    executes iff doing so can never mutate a structure the executor is
    iterating. Delta scans read an immutable row list, keyed scans read
@@ -724,9 +692,9 @@ let partition_column plan =
    with Exit -> ());
   !found
 
-let run_stream ?stats ~max_term_depth ~db ~neg ?delta ?delta_rows plan ~emit =
+let run_stream ?stats ~max_term_depth ~db ~neg ?delta_rows plan ~emit =
   let suppressed = ref 0 in
-  exec_plan ?stats ~db ~neg ?delta ?delta_rows plan ~emit:(fun args ids ->
+  exec_plan ?stats ~db ~neg ?delta_rows plan ~emit:(fun args ids ->
       (* Depth-guard before packing: suppressed skolem towers must not
          be interned into the (permanent) term pool. *)
       let deep = ref false in
@@ -737,10 +705,10 @@ let run_stream ?stats ~max_term_depth ~db ~neg ?delta ?delta_rows plan ~emit =
       else emit (Tuple.Packed.of_parts args ids));
   !suppressed
 
-let run_rows ?stats ~max_term_depth ~db ~neg ?delta ?delta_rows plan =
+let run_rows ?stats ~max_term_depth ~db ~neg ?delta_rows plan =
   let rows = ref [] in
   let suppressed =
-    run_stream ?stats ~max_term_depth ~db ~neg ?delta ?delta_rows plan
+    run_stream ?stats ~max_term_depth ~db ~neg ?delta_rows plan
       ~emit:(fun row -> rows := row :: !rows)
   in
   (!rows, suppressed)

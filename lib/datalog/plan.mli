@@ -13,8 +13,9 @@
     become residual filter/bind steps.
 
     Plans are cached globally, keyed by (rule, focus, oracle order).
-    The interpreted path in {!Eval} is kept as the differential-testing
-    oracle (see [test/test_differential.ml]).
+    This is the only production join kernel; the interpreted naive
+    evaluator ({!Naive}) is the reference oracle it is tested against
+    (see [test/test_differential.ml]).
 
     A {e cost oracle} ({!with_oracle}) may propose analysis-derived
     literal orders: {!lookup} consults the installed oracle, validates
@@ -47,8 +48,8 @@ type oracle = Logic.Rule.t -> focus:int option -> int list option
 val with_oracle : oracle -> (unit -> 'a) -> 'a
 (** Run a computation with a cost oracle installed; every {!lookup}
     inside consults it. Restores the previous oracle on exit (also on
-    exceptions). Installation is process-global — evaluation strategies
-    resolve plans deep inside their drivers, so {!Engine.materialize}
+    exceptions). Installation is process-global — {!Seminaive}
+    resolves plans deep inside its round loop, so {!Engine.materialize}
     wraps whole evaluations rather than threading the oracle through
     every signature. *)
 
@@ -56,27 +57,6 @@ val order_ok : Logic.Rule.t -> int list -> bool
 (** Whether an order is a permutation of the rule body that stays
     evaluable step by step — the validity condition {!lookup} applies
     to oracle proposals before trusting them. *)
-
-val run :
-  ?stats:Eval.stats ->
-  db:Database.t ->
-  neg:Database.t ->
-  ?delta:Database.t ->
-  t ->
-  Logic.Atom.t list
-(** Execute a plan: all derivable ground head instances. A plan
-    compiled with a focus must be run with [delta] (the focus literal
-    reads from it); a plan without focus ignores [delta]. *)
-
-val derive :
-  ?stats:Eval.stats ->
-  db:Database.t ->
-  neg:Database.t ->
-  ?focus:int * Database.t ->
-  Logic.Rule.t ->
-  Logic.Atom.t list
-(** Drop-in replacement for {!Eval.derive} on the compiled path:
-    cached-compile then run. *)
 
 val streamable : t -> bool
 (** Whether {!run_stream}'s [emit] may insert into the plan's head
@@ -116,7 +96,6 @@ val run_stream :
   max_term_depth:int ->
   db:Database.t ->
   neg:Database.t ->
-  ?delta:Database.t ->
   ?delta_rows:Tuple.Packed.t list ->
   t ->
   emit:(Tuple.Packed.t -> unit) ->
@@ -130,21 +109,19 @@ val run_rows :
   max_term_depth:int ->
   db:Database.t ->
   neg:Database.t ->
-  ?delta:Database.t ->
   ?delta_rows:Tuple.Packed.t list ->
   t ->
   Tuple.Packed.t list * int
-(** Like {!run} but emits packed rows, reusing the intern ids already
-    tracked by the executor, so absorbing a row into a relation
-    re-interns nothing; for callers that hold pre-resolved plans. The
-    skolem depth guard applies before packing: heads deeper than
-    [max_term_depth] are counted in the returned suppression count, not
-    interned, not returned. [delta_rows], when given, feeds the focus
-    scan directly (taking precedence over [delta]) — the semi-naive
-    driver keeps each round's delta as per-predicate row lists, not a
-    database, because rows entering the delta are already deduplicated
-    by their insertion into the model. A focus plan whose delta scan
-    has no rows returns before running any op. *)
+(** Execute a plan: every derivable head instance, as a packed row that
+    reuses the intern ids already tracked by the executor, so absorbing
+    a row into a relation re-interns nothing. The skolem depth guard
+    applies before packing: heads deeper than [max_term_depth] are
+    counted in the returned suppression count, not interned, not
+    returned. [delta_rows] feeds the focus scan of a plan compiled with
+    a focus; {!Seminaive} keeps each round's delta as per-predicate row
+    lists, already deduplicated by their insertion into the model. A
+    focus plan run without rows, or with none, returns before running
+    any op; a plan without focus ignores [delta_rows]. *)
 
 val cache_size : unit -> int
 val clear_cache : unit -> unit

@@ -6,54 +6,46 @@ type outcome = { rounds : int; derived : int; skolems_suppressed : int }
 
 type delta = (string, Tuple.Packed.t list ref) Hashtbl.t
 
-(* One (rule, focus) evaluation, resolved once: [plan] is [None] on the
-   interpreted path (the differential-testing oracle). *)
+(* One (rule, focus) evaluation, its plan resolved once. *)
 type step = {
-  rule : Rule.t;
-  focus : (int * string) option;  (* focus position and its predicate *)
-  plan : Plan.t option;
+  head : string;  (* the rule's head predicate *)
+  focus : string option;  (* the focus literal's predicate *)
+  plan : Plan.t;
   stream_ok : bool;
 }
 
-let head s = Rule.head_pred s.rule
+let head s = s.head
 
-let step ?stats ~compiled (rule : Rule.t) ~focus =
-  let focus =
+let step ?stats (rule : Rule.t) ~focus =
+  let focus_pred =
     Option.map
       (fun i ->
         match List.nth rule.Rule.body i with
-        | Literal.Pos a -> (i, a.Atom.pred)
+        | Literal.Pos a -> a.Atom.pred
         | _ -> invalid_arg "Seminaive.step: focus on a non-positive literal")
       focus
   in
-  if not compiled then { rule; focus; plan = None; stream_ok = false }
-  else
-    let plan = Plan.lookup ?stats rule ~focus:(Option.map fst focus) in
-    (* full evaluations and self-reading plans are buffered, not
-       streamed: streamed emissions would be visible to the plan's own
-       later probes, making results depend on whether the execution was
-       partitioned across domains (see Parexec) *)
-    {
-      rule;
-      focus;
-      plan = Some plan;
-      stream_ok =
-        focus <> None && Plan.streamable plan && not (Plan.reads_own_head plan);
-    }
+  let plan = Plan.lookup ?stats rule ~focus in
+  (* full evaluations and self-reading plans are buffered, not
+     streamed: streamed emissions would be visible to the plan's own
+     later probes, making results depend on whether the execution was
+     partitioned across domains (see Parexec) *)
+  {
+    head = Rule.head_pred rule;
+    focus = focus_pred;
+    plan;
+    stream_ok =
+      focus <> None && Plan.streamable plan && not (Plan.reads_own_head plan);
+  }
 
-let focus_steps ?stats ~compiled r =
-  List.map
-    (fun i -> step ?stats ~compiled r ~focus:(Some i))
-    (Eval.positive_positions r)
-
-let too_deep max_term_depth (a : Atom.t) =
-  List.exists (fun t -> Logic.Term.depth t > max_term_depth) a.Atom.args
+let focus_steps ?stats r =
+  List.map (fun i -> step ?stats r ~focus:(Some i)) (Eval.positive_positions r)
 
 (* Each step runs once: an unfocused step in full, a focused one over
    [from]'s rows for its focus predicate — and not at all when there
-   are none. On the compiled path heads arrive as packed rows with
-   their intern ids already cached, so absorbing a row re-interns
-   nothing; rows stream into [accept] when the plan allows it
+   are none. Heads arrive as packed rows with their intern ids already
+   cached, so absorbing a row re-interns nothing; rows stream into
+   [accept] when the plan allows it
    ([stream_ok]: then [accept] may insert into the plan's head relation
    while it executes), otherwise they are buffered per execution. *)
 let run_round ?stats ?pool ~max_term_depth ~db ~neg ~(from : delta) ~into
@@ -64,7 +56,7 @@ let run_round ?stats ?pool ~max_term_depth ~db ~neg ~(from : delta) ~into
       let rows =
         match s.focus with
         | None -> Some []
-        | Some (_, fp) -> Option.map ( ! ) (Hashtbl.find_opt from fp)
+        | Some fp -> Option.map ( ! ) (Hashtbl.find_opt from fp)
       in
       match rows with
       | None -> ()
@@ -99,41 +91,17 @@ let run_round ?stats ?pool ~max_term_depth ~db ~neg ~(from : delta) ~into
           supp
         in
         let supp =
-          match s.plan with
+          match Parexec.eligible ~pool s.plan delta_rows with
+          | Some pool ->
+            buffered
+              (Parexec.run_delta ?stats ~pool ~max_term_depth ~db ~neg s.plan
+                 ~delta_rows)
+          | None when s.stream_ok ->
+            Plan.run_stream ?stats ~max_term_depth ~db ~neg ~delta_rows s.plan
+              ~emit:add
           | None ->
-            let focus =
-              Option.map
-                (fun (i, fp) ->
-                  let d = Database.create () in
-                  let rel = Database.relation d fp in
-                  List.iter
-                    (fun r -> ignore (Relation.add_packed rel r))
-                    delta_rows;
-                  (i, d))
-                s.focus
-            in
-            List.fold_left
-              (fun supp (a : Atom.t) ->
-                if too_deep max_term_depth a then supp + 1
-                else begin
-                  add (Tuple.Packed.of_list a.Atom.args);
-                  supp
-                end)
-              0
-              (Eval.derive ?stats ~db ~neg ?focus s.rule)
-          | Some plan -> (
-            match Parexec.eligible ~pool plan delta_rows with
-            | Some pool ->
-              buffered
-                (Parexec.run_delta ?stats ~pool ~max_term_depth ~db ~neg plan
-                   ~delta_rows)
-            | None when s.stream_ok ->
-              Plan.run_stream ?stats ~max_term_depth ~db ~neg ~delta_rows plan
-                ~emit:add
-            | None ->
-              buffered
-                (Plan.run_rows ?stats ~max_term_depth ~db ~neg ~delta_rows
-                   plan))
+            buffered
+              (Plan.run_rows ?stats ~max_term_depth ~db ~neg ~delta_rows s.plan)
         in
         suppressed := !suppressed + supp)
     steps;
@@ -166,7 +134,7 @@ let propagate ?stats ?pool ~max_term_depth ~max_rounds ~db ~neg ~accept steps
   let rounds = loop 0 delta in
   (rounds, !suppressed)
 
-let run ?stats ?pool ?(compiled = true) ?(max_term_depth = 8)
+let run ?stats ?pool ?(max_term_depth = 8)
     ?(max_rounds = 100_000) ~neg rules db =
   let derived = ref 0 in
   let accept s =
@@ -182,8 +150,8 @@ let run ?stats ?pool ?(compiled = true) ?(max_term_depth = 8)
      plan-cache lookup (which hashes the whole rule) per rule per round.
      Round 1 evaluates every rule in full to seed the delta; rules whose
      bodies read only lower predicates fire there and never again. *)
-  let seeds = List.map (fun r -> step ?stats ~compiled r ~focus:None) rules in
-  let steps = List.concat_map (focus_steps ?stats ~compiled) rules in
+  let seeds = List.map (fun r -> step ?stats r ~focus:None) rules in
+  let steps = List.concat_map (focus_steps ?stats) rules in
   let delta0 = Hashtbl.create 16 in
   let supp0 =
     round ?stats ?pool ~max_term_depth ~db ~neg ~accept

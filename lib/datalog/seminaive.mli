@@ -1,7 +1,9 @@
 (** Semi-naive bottom-up evaluation: after the first round, each rule is
     re-evaluated once per positive body literal with that literal
     focused on the delta (facts new in the previous round), so unchanged
-    joins are never recomputed.
+    joins are never recomputed. Every rule runs as a compiled {!Plan};
+    this is the engine's only bottom-up evaluator, checked against the
+    naive reference oracle {!Naive}.
 
     The round loop ({!propagate}) is shared with incremental
     maintenance ({!Maintain}), which seeds it with the rows a base
@@ -16,19 +18,16 @@ type outcome = {
 val run :
   ?stats:Eval.stats ->
   ?pool:Pool.t ->
-  ?compiled:bool ->
   ?max_term_depth:int ->
   ?max_rounds:int ->
   neg:Database.t ->
   Logic.Rule.t list ->
   Database.t ->
   outcome
-(** Same contract as {!Naive.run}. Mutates [db]. [compiled] (default
-    [true]) derives through cached {!Plan}s; [false] keeps the
-    interpreted {!Eval.derive} path — the differential-testing oracle.
-    [pool] fans each round's big-enough delta batches out across a
-    domain pool ({!Parexec}; compiled path only) — results and outcome
-    counters are identical with and without it. *)
+(** Same contract as {!Naive.run}. Mutates [db]. [pool] fans each
+    round's big-enough delta batches out across a domain pool
+    ({!Parexec}) — results and outcome counters are identical with and
+    without it. *)
 
 (** {1 The round loop} *)
 
@@ -41,13 +40,11 @@ type step
 (** One rule evaluated with one optional focus literal, its plan
     resolved once. *)
 
-val step :
-  ?stats:Eval.stats -> compiled:bool -> Logic.Rule.t -> focus:int option -> step
-(** Resolve a (rule, focus) evaluation; the focus must index a positive
-    body literal. [compiled = false] evaluates through {!Eval.derive}. *)
+val step : ?stats:Eval.stats -> Logic.Rule.t -> focus:int option -> step
+(** Resolve a (rule, focus) evaluation to its cached {!Plan}; the focus
+    must index a positive body literal. *)
 
-val focus_steps :
-  ?stats:Eval.stats -> compiled:bool -> Logic.Rule.t -> step list
+val focus_steps : ?stats:Eval.stats -> Logic.Rule.t -> step list
 (** One step per positive body literal of the rule. *)
 
 val head : step -> string

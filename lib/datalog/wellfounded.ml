@@ -9,10 +9,10 @@ type model = {
    I, so Γ∘Γ is monotone increasing and the even iterates converge to
    the set of well-founded-true facts while the odd iterates converge to
    the non-false facts. *)
-let gamma ?stats ?pool ?compiled ?max_term_depth ?max_rounds rules edb i =
+let gamma ?stats ?pool ?max_term_depth ?max_rounds rules edb i =
   let db = Database.copy edb in
   ignore
-    (Seminaive.run ?stats ?pool ?compiled ?max_term_depth ?max_rounds ~neg:i
+    (Seminaive.run ?stats ?pool ?max_term_depth ?max_rounds ~neg:i
        rules db);
   db
 
@@ -45,7 +45,7 @@ let difference over under =
     (Database.predicates over);
   d
 
-let compute ?stats ?pool ?compiled ?max_term_depth ?max_rounds p edb =
+let compute ?stats ?pool ?max_term_depth ?max_rounds p edb =
   let rules = Program.rules p in
   let reads = read_set rules in
   let k = ref 0 in
@@ -56,7 +56,7 @@ let compute ?stats ?pool ?compiled ?max_term_depth ?max_rounds p edb =
   let rec iterate prev2 prev =
     incr k;
     let cur =
-      gamma ?stats ?pool ?compiled ?max_term_depth ?max_rounds rules edb prev
+      gamma ?stats ?pool ?max_term_depth ?max_rounds rules edb prev
     in
     if Database.equal_on reads cur prev then (cur, cur)
     else

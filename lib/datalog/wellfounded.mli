@@ -41,7 +41,6 @@ type model = {
 val compute :
   ?stats:Eval.stats ->
   ?pool:Pool.t ->
-  ?compiled:bool ->
   ?max_term_depth:int ->
   ?max_rounds:int ->
   Program.t ->

@@ -440,14 +440,7 @@ let minimize_invisible () =
         true
         (!rep.Engine.atoms_minimized > 0);
     check "naive minimize"
-      (Engine.materialize
-         ~config:
-           {
-             Engine.default_config with
-             strategy = Engine.Naive;
-             minimize = Some hook;
-           }
-         p edb);
+      (Datalog.Naive.materialize (Program.make_exn (hook rules)) edb);
     match Maintain.init ~minimize:hook p edb with
     | Error e -> Alcotest.failf "seed %d: Maintain.init: %s" i e
     | Ok h ->

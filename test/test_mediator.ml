@@ -383,6 +383,43 @@ let test_incremental_updates () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown source accepted"
 
+(* A fresh object for one of the three neuro sources, in that source's
+   vocabulary: the payload of the update streams below. *)
+let object_of source k =
+  let id = s (Printf.sprintf "upd_%s_%d" source k) in
+  let mv m x = Molecule.Meth_val (id, m, x) in
+  let f = Logic.Term.float and str = Logic.Term.str in
+  match source with
+  | "SYNAPSE" ->
+    [
+      Molecule.Isa (id, s "spine_measure");
+      mv "diameter" (f (0.3 +. (0.1 *. float_of_int (k mod 6))));
+      mv "location"
+        (s (if k mod 2 = 0 then "pyramidal_cell" else "dendrite"));
+      mv "species" (str "rat");
+    ]
+  | "NCMIR" ->
+    [
+      Molecule.Isa (id, s "protein_amount");
+      mv "protein_name"
+        (s (List.nth Neuro.Sources.proteins
+              (k mod List.length Neuro.Sources.proteins)));
+      mv "location" (s (if k mod 2 = 0 then "spine" else "purkinje_cell"));
+      mv "amount" (f (float_of_int k));
+      mv "organism" (str "rat");
+    ]
+  | _ ->
+    [
+      Molecule.Isa (id, s "neurotransmission");
+      mv "organism" (str "rat");
+      mv "transmitting_neuron" (s "granule_cell");
+      mv "transmitting_compartment" (s "parallel_fiber");
+      mv "receiving_neuron" (s "purkinje_cell");
+      mv "receiving_compartment"
+        (s (if k mod 2 = 0 then "spine" else "dendrite"));
+      mv "neurotransmitter" (s "glutamate");
+    ]
+
 (* The flagship maintained configuration (IC mode, no inheritance,
    durable): a mixed stream of additions and deletions over all three
    sources must be absorbed by maintenance without rebuilding a
@@ -401,41 +438,6 @@ let test_ic_federation_updates () =
     }
   in
   let small = { Neuro.Sources.seed = 3; scale = 8 } in
-  let object_of source k =
-    let id = s (Printf.sprintf "upd_%s_%d" source k) in
-    let mv m x = Molecule.Meth_val (id, m, x) in
-    let f = Logic.Term.float and str = Logic.Term.str in
-    match source with
-    | "SYNAPSE" ->
-      [
-        Molecule.Isa (id, s "spine_measure");
-        mv "diameter" (f (0.3 +. (0.1 *. float_of_int (k mod 6))));
-        mv "location"
-          (s (if k mod 2 = 0 then "pyramidal_cell" else "dendrite"));
-        mv "species" (str "rat");
-      ]
-    | "NCMIR" ->
-      [
-        Molecule.Isa (id, s "protein_amount");
-        mv "protein_name"
-          (s (List.nth Neuro.Sources.proteins
-                (k mod List.length Neuro.Sources.proteins)));
-        mv "location" (s (if k mod 2 = 0 then "spine" else "purkinje_cell"));
-        mv "amount" (f (float_of_int k));
-        mv "organism" (str "rat");
-      ]
-    | _ ->
-      [
-        Molecule.Isa (id, s "neurotransmission");
-        mv "organism" (str "rat");
-        mv "transmitting_neuron" (s "granule_cell");
-        mv "transmitting_compartment" (s "parallel_fiber");
-        mv "receiving_neuron" (s "purkinje_cell");
-        mv "receiving_compartment"
-          (s (if k mod 2 = 0 then "spine" else "dendrite"));
-        mv "neurotransmitter" (s "glutamate");
-      ]
-  in
   (* every fourth update deletes the source's oldest live addition *)
   let updates =
     let live = Hashtbl.create 3 in
@@ -491,6 +493,46 @@ let test_ic_federation_updates () =
   Alcotest.(check bool) "recovered == live" true
     (Datalog.Database.equal live (Mediator.materialize recovered))
 
+(* The flagship stratified configuration (IC mode without inheritance,
+   what the neuro-durable benchmark runs) against the naive reference
+   oracle, which shares no code with the compiled kernel: the model of
+   the compiled federation program must equal the mediator's
+   materialization, initially and after maintained updates. *)
+let test_ic_federation_oracle () =
+  let config =
+    {
+      Mediator.default_config with
+      Mediator.dl_mode = Dl.Translate.Ic;
+      inheritance = false;
+    }
+  in
+  let med =
+    Neuro.Sources.standard_mediator ~config { Neuro.Sources.seed = 3; scale = 4 }
+  in
+  let agree what =
+    match Flogic.Fl_program.compile (Mediator.program med) with
+    | Error e -> Alcotest.fail e
+    | Ok dp ->
+      Alcotest.(check bool) (what ^ ": materialize == naive oracle") true
+        (Datalog.Database.equal (Mediator.materialize med)
+           (Datalog.Naive.materialize dp (Datalog.Database.create ())))
+  in
+  agree "initial";
+  let first = object_of "SYNAPSE" 0 in
+  List.iteri
+    (fun k (source, additions, deletions) ->
+      (match Mediator.update_source med ~source ~additions ~deletions () with
+      | Ok (Some _) -> ()
+      | Ok None -> Alcotest.failf "update %d was not maintained" k
+      | Error e -> Alcotest.fail e);
+      agree (Printf.sprintf "update %d" k))
+    [
+      ("SYNAPSE", first, []);
+      ("NCMIR", object_of "NCMIR" 1, []);
+      ("SENSELAB", object_of "SENSELAB" 2, []);
+      ("SYNAPSE", [], first);
+    ]
+
 let suites =
   [
     ( "mediator.namespace",
@@ -507,6 +549,8 @@ let suites =
         Alcotest.test_case "incremental updates" `Quick test_incremental_updates;
         Alcotest.test_case "IC federation: 20 updates, none rebuilt" `Quick
           test_ic_federation_updates;
+        Alcotest.test_case "IC federation == naive oracle" `Quick
+          test_ic_federation_oracle;
       ] );
     ( "mediator.selection",
       [ Alcotest.test_case "semantic index" `Quick test_source_selection ] );
