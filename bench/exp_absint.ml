@@ -5,8 +5,8 @@
    itself — quadratic in path length — and then filters through a
    predicate that is provably empty or a constant that provably never
    occurs. The abstract interpreter (Analysis.Absint) proves the block
-   dead from the rules and the EDB alone, so evaluation with the
-   [prune] hook installed never pays for the big joins.
+   dead from the rules and the EDB alone, so evaluating the program
+   [Absint.prune] leaves never pays for the big joins.
 
    Measured claims, recorded in BENCH_absint.json:
    - pruned materialization is faster than unpruned (the speedup), with
@@ -96,16 +96,20 @@ let run () =
   in
   let surviving = Absint.prune rules edb in
   let pruned_count = List.length rules - List.length surviving in
-  let config = { Engine.default_config with prune = Some Absint.prune } in
+  (* the pruned run pays for the analysis on every repetition *)
+  let materialize_pruned () =
+    Engine.materialize
+      (Datalog.Program.make_exn (Absint.prune rules edb))
+      edb
+  in
   let ms_unpruned =
     Util.time_median ~reps:3 (fun () -> ignore (Engine.materialize p edb))
   in
   let ms_pruned =
-    Util.time_median ~reps:3 (fun () ->
-        ignore (Engine.materialize ~config p edb))
+    Util.time_median ~reps:3 (fun () -> ignore (materialize_pruned ()))
   in
   let full = Engine.materialize p edb in
-  let pruned_db = Engine.materialize ~config p edb in
+  let pruned_db = materialize_pruned () in
   let equal =
     Database.cardinal full = Database.cardinal pruned_db
     && List.for_all (Database.mem pruned_db) (Database.all_facts full)
@@ -151,7 +155,7 @@ let run () =
       ("experiment", "\"dead-rule pruning via abstract interpretation\"");
       ("edb_facts", string_of_int (Database.cardinal edb));
       ("rules_total", string_of_int (List.length rules));
-      ("rules_pruned", string_of_int pruned_count);
+      ("rules_dead", string_of_int pruned_count);
       ("analysis_ms", Printf.sprintf "%.3f" ms_analysis);
       ("unpruned_materialize_ms", Printf.sprintf "%.3f" ms_unpruned);
       ("pruned_materialize_ms", Printf.sprintf "%.3f" ms_pruned);

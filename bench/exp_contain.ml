@@ -1,8 +1,8 @@
-(* CONTAIN — semantic rule minimization as an engine hook: run the
+(* CONTAIN — semantic rule minimization as a program rewrite: run the
    join-kernel workloads (plus one workload whose rules carry
-   redundant body atoms the containment analysis can drop) with and
-   without [Engine.config.minimize], check the answers agree, and
-   record how long the containment analysis itself takes. Writes
+   redundant body atoms the containment analysis can drop) as written
+   and after [Contain.minimize], check the answers agree, and record
+   how long the containment analysis itself takes. Writes
    BENCH_contain.json; [smoke] is the @contain-smoke regression gate —
    minimized plans must never be more than 1.1x slower than the
    untouched ones, and the analysis must stay under 10 ms per
@@ -24,9 +24,9 @@ let pos = Logic.Literal.pos
 (* Workload: joins written with redundant body atoms. [a(X, W)] folds
    onto [a(X, Y)] (W -> Y) and [b(Y, U)] onto [b(Y, Z)] (U -> Z), so
    the minimized rule does two joins where the original does four —
-   the gap the containment hook is supposed to close. The join-kernel
+   the gap minimization is supposed to close. The join-kernel
    workloads (tc-deep, dm-closure, ivd-join) are already minimal, so
-   on them the hook only has overhead to show. *)
+   on them minimization only has overhead to show. *)
 
 let redundant_rules =
   [
@@ -68,24 +68,31 @@ type row = {
   base_ms : float;
   min_ms : float;
   analysis_ms : float;
-  atoms_minimized : int;
+  atoms_dropped : int;
   derived : int;
 }
 
+let body_atoms rules =
+  List.fold_left (fun n r -> n + List.length r.Logic.Rule.body) 0 rules
+
 let measure_pair (name, p) =
-  let rules = Datalog.Program.rules p in
+  let facts, rp = Datalog.Program.split_facts p in
+  let rules = Datalog.Program.rules rp in
+  let facts = Datalog.Program.make_exn (List.map Logic.Rule.fact facts) in
   (* the analysis is timed once, cold: build the context (harvesting
-     ground sub facts) and minimize every rule, exactly what the hook
-     does on the engine's first call *)
+     ground sub facts) and minimize every rule *)
   let t0 = Unix.gettimeofday () in
-  let ctx = Contain.make_ctx ~rules () in
-  ignore (Contain.minimize ctx rules);
+  let ctx = Contain.make_ctx ~rules:(Datalog.Program.rules p) () in
+  let minimized = Contain.minimize ctx rules in
   let analysis_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  let base_ms, rep_b = Exp_join.measure ~config:Engine.default_config p in
-  let min_config =
-    { Engine.default_config with Engine.minimize = Some (Contain.minimize ctx) }
+  let base_ms, rep_b = Exp_join.measure (fun () -> p) in
+  (* the minimized run pays for the rewrite of the rules on every
+     repetition, as a caller minimizing before each evaluation would *)
+  let min_ms, rep_m =
+    Exp_join.measure (fun () ->
+        Datalog.Program.append facts
+          (Datalog.Program.make_exn (Contain.minimize ctx rules)))
   in
-  let min_ms, rep_m = Exp_join.measure ~config:min_config p in
   if rep_b.Engine.derived <> rep_m.Engine.derived then
     failwith
       (Printf.sprintf
@@ -97,7 +104,7 @@ let measure_pair (name, p) =
     base_ms;
     min_ms;
     analysis_ms;
-    atoms_minimized = rep_m.Engine.atoms_minimized;
+    atoms_dropped = body_atoms rules - body_atoms minimized;
     derived = rep_m.Engine.derived;
   }
 
@@ -121,7 +128,7 @@ let run () =
            Util.fms r.min_ms;
            Printf.sprintf "%.2fx" (r.min_ms /. r.base_ms);
            Util.fms r.analysis_ms;
-           string_of_int r.atoms_minimized;
+           string_of_int r.atoms_dropped;
          ])
        rows);
   let fields =
@@ -141,7 +148,7 @@ let run () =
             (k ^ "_minimized_ms", Printf.sprintf "%.3f" r.min_ms);
             (k ^ "_ratio", Printf.sprintf "%.3f" (r.min_ms /. r.base_ms));
             (k ^ "_analysis_ms", Printf.sprintf "%.3f" r.analysis_ms);
-            (k ^ "_atoms_minimized", string_of_int r.atoms_minimized);
+            (k ^ "_atoms_dropped", string_of_int r.atoms_dropped);
             (k ^ "_derived", string_of_int r.derived);
           ])
         rows
@@ -178,7 +185,7 @@ let smoke () =
          else "ANALYSIS-TOO-SLOW"))
     rows;
   (match List.find_opt (fun r -> r.name = "redundant-join") rows with
-  | Some r when r.atoms_minimized = 0 ->
+  | Some r when r.atoms_dropped = 0 ->
     Printf.printf "  redundant-join: no atoms dropped (expected > 0)\n";
     incr failures
   | _ -> ());

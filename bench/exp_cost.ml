@@ -1,14 +1,12 @@
-(* COST — the cardinality/cost analysis as a planning oracle: run the
-   join-kernel workloads (plus one selective-join workload the greedy
-   syntactic planner orders badly) with and without
-   [Engine.config.cost_oracle], check the answers agree, and record
-   estimate-vs-actual accuracy and analysis time. Writes
-   BENCH_cost.json; [smoke] is the @cost-smoke regression gate — the
-   oracle must never be more than 1.2x slower than the greedy planner,
-   and must win on at least one workload. *)
+(* COST — the cardinality/cost analysis on the join-kernel workloads
+   (plus one selective-join workload the greedy syntactic planner
+   orders badly): how long the analysis takes, and how close its static
+   extent bounds come to the materialized model. Writes
+   BENCH_cost.json. *)
 
 open Kind
 module Engine = Datalog.Engine
+module Database = Datalog.Database
 module Card = Analysis.Card
 
 let v = Logic.Term.var
@@ -22,9 +20,9 @@ let pos = Logic.Literal.pos
 (* ------------------------------------------------------------------ *)
 (* Workload: a join whose selective literal comes last syntactically.
    The greedy planner scores literals by boundness only, so it scans
-   [a] (the big relation) first and filters at the very end; the
-   cardinality oracle starts from [sel] (2 rows) and drives the whole
-   join through index probes. *)
+   [a] (the big relation) first and filters at the very end; the cost
+   model starts from [sel] (2 rows) and drives the whole join through
+   index probes. *)
 
 let sel_rules =
   [
@@ -65,120 +63,74 @@ let workloads ~full =
 
 type row = {
   name : string;
-  greedy_ms : float;
-  oracle_ms : float;
   analysis_ms : float;
-  used : int;
-  est_vs_actual : float;
+  est_over_actual : float;
   derived : int;
 }
 
-let measure_pair (name, p) =
+(* Geometric mean of (static upper bound / actual extent) over the
+   predicates the analysis bounds: 1.0 = exact, 10.0 = an order of
+   magnitude over. 0.0 = nothing finite to compare. *)
+let est_over_actual res db =
+  let logs, n =
+    List.fold_left
+      (fun (acc, n) p ->
+        match (Card.card res p).Card.hi with
+        | Some est ->
+          let actual = Database.count db p in
+          ( acc
+            +. log (float_of_int (max 1 est) /. float_of_int (max 1 actual)),
+            n + 1 )
+        | None -> (acc, n))
+      (0.0, 0) (Database.predicates db)
+  in
+  if n = 0 then 0.0 else exp (logs /. float_of_int n)
+
+let measure (name, p) =
   let t0 = Unix.gettimeofday () in
   let res = Card.analyze (Datalog.Program.rules p) in
-  let oracle = Card.oracle res in
   let analysis_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  let greedy_ms, rep_g = Exp_join.measure ~config:Engine.default_config p in
-  let oracle_config =
-    { Engine.default_config with Engine.cost_oracle = Some oracle }
-  in
-  let oracle_ms, rep_o = Exp_join.measure ~config:oracle_config p in
-  if rep_g.Engine.derived <> rep_o.Engine.derived then
-    failwith
-      (Printf.sprintf
-         "cost bench: oracle and greedy plans disagree on %s (%d vs %d \
-          derived)"
-         name rep_g.Engine.derived rep_o.Engine.derived);
+  let rep = ref Engine.empty_report in
+  let db = Engine.materialize ~report:rep p (Database.create ()) in
   {
     name;
-    greedy_ms;
-    oracle_ms;
     analysis_ms;
-    used = rep_o.Engine.cost_oracle_used;
-    est_vs_actual = rep_o.Engine.est_vs_actual;
-    derived = rep_o.Engine.derived;
+    est_over_actual = est_over_actual res db;
+    derived = !rep.Engine.derived;
   }
 
 let run () =
-  Util.header
-    "COST  cardinality analysis as planning oracle: analysis-ordered vs \
-     greedy joins";
-  let rows = List.map measure_pair (workloads ~full:true) in
+  Util.header "COST  cardinality analysis: analysis time and estimate accuracy";
+  let rows = List.map measure (workloads ~full:true) in
   Util.table
-    ~columns:
-      [
-        "workload"; "derived"; "greedy-ms"; "oracle-ms"; "ratio";
-        "analysis-ms"; "oracle-used"; "est/actual";
-      ]
+    ~columns:[ "workload"; "derived"; "analysis-ms"; "est/actual" ]
     (List.map
        (fun r ->
          [
            r.name;
            Util.fint r.derived;
-           Util.fms r.greedy_ms;
-           Util.fms r.oracle_ms;
-           Printf.sprintf "%.2fx" (r.oracle_ms /. r.greedy_ms);
            Util.fms r.analysis_ms;
-           Util.fint r.used;
-           Printf.sprintf "%.2f" r.est_vs_actual;
+           Printf.sprintf "%.2f" r.est_over_actual;
          ])
        rows);
   let fields =
     [
       ( "experiment",
-        "\"cardinality/cost analysis: oracle-ordered joins vs greedy \
-         syntactic planner\"" );
+        "\"cardinality/cost analysis: analysis time and estimate accuracy\"" );
       ( "protocol",
-        "\"fastest of 5 repetitions per config; analysis timed once, cold; \
-         est/actual is the geometric mean over finite-estimate predicates\""
-      );
+        "\"analysis timed once, cold; est/actual is the geometric mean of \
+         static bound over materialized extent, over finite-estimate \
+         predicates\"" );
     ]
     @ List.concat_map
         (fun r ->
           let k = Exp_join.key r.name in
           [
-            (k ^ "_greedy_ms", Printf.sprintf "%.3f" r.greedy_ms);
-            (k ^ "_oracle_ms", Printf.sprintf "%.3f" r.oracle_ms);
-            (k ^ "_ratio", Printf.sprintf "%.3f" (r.oracle_ms /. r.greedy_ms));
             (k ^ "_analysis_ms", Printf.sprintf "%.3f" r.analysis_ms);
-            (k ^ "_oracle_used", string_of_int r.used);
-            (k ^ "_est_vs_actual", Printf.sprintf "%.3f" r.est_vs_actual);
+            (k ^ "_est_over_actual", Printf.sprintf "%.3f" r.est_over_actual);
             (k ^ "_derived", string_of_int r.derived);
           ])
         rows
   in
   Exp_join.write_json "BENCH_cost.json" fields;
   Util.note "wrote BENCH_cost.json"
-
-(* ------------------------------------------------------------------ *)
-(* Smoke gate (`dune build @cost-smoke`): self-contained — both
-   configurations run here and now, so no committed reference is
-   needed. The oracle must stay within 1.2x of greedy everywhere (with
-   a 1 ms floor so micro-jitter on trivial workloads cannot fail the
-   gate) and must be strictly faster on at least one workload. *)
-
-let smoke () =
-  Util.header "COST-SMOKE  oracle-ordered joins vs greedy, trimmed workloads";
-  let rows = List.map measure_pair (workloads ~full:false) in
-  let failures = ref 0 in
-  let wins = ref 0 in
-  List.iter
-    (fun r ->
-      let limit = (1.2 *. r.greedy_ms) +. 1.0 in
-      let ok = r.oracle_ms <= limit in
-      if not ok then incr failures;
-      if r.oracle_ms < r.greedy_ms then incr wins;
-      Printf.printf "  %-12s greedy %s  oracle %s  limit %s  %s\n" r.name
-        (Util.fms r.greedy_ms) (Util.fms r.oracle_ms) (Util.fms limit)
-        (if ok then "ok" else "REGRESSION"))
-    rows;
-  if !wins = 0 then begin
-    Printf.printf
-      "  the oracle won on no workload (expected at least sel-join)\n";
-    incr failures
-  end;
-  if !failures > 0 then begin
-    Printf.printf "cost-smoke: %d failure(s)\n" !failures;
-    exit 1
-  end;
-  Util.note "cost-smoke passed"

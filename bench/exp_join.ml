@@ -149,14 +149,16 @@ let baselines =
    the closure workloads. The reported time is the fastest repetition:
    materialization is deterministic and CPU-bound, so the minimum is
    the least-interfered sample (scheduler and frequency noise only ever
-   add time). *)
-let measure ?(reps = 5) ~config p =
+   add time). [program] runs inside the timed region, so a caller that
+   rewrites the program before evaluating it pays for the rewrite. *)
+let measure ?(reps = 5) program =
   let rep = ref Engine.empty_report in
   let samples =
     List.init reps (fun _ ->
         Gc.full_major ();
         let t0 = Unix.gettimeofday () in
-        ignore (Engine.materialize ~config ~report:rep p (Database.create ()));
+        ignore
+          (Engine.materialize ~report:rep (program ()) (Database.create ()));
         (Unix.gettimeofday () -. t0) *. 1000.)
     |> List.sort compare
   in
@@ -185,7 +187,7 @@ let run () =
   let results =
     List.map
       (fun (name, p) ->
-        let ms, rep = measure ~config:Engine.default_config p in
+        let ms, rep = measure (fun () -> p) in
         (name, ms, rep))
       (workloads ~full:true)
   in
@@ -213,7 +215,7 @@ let run () =
   let smoke =
     List.map
       (fun (name, p) ->
-        let ms, _ = measure ~config:Engine.default_config p in
+        let ms, _ = measure (fun () -> p) in
         (name, ms))
       (workloads ~full:false)
   in
@@ -249,7 +251,16 @@ let run () =
 (* ------------------------------------------------------------------ *)
 (* Smoke gate: run the trimmed workloads and fail (exit 1) if any
    materialization is more than 2x slower than the committed
-   BENCH_join.json reference. Wired as `dune build @bench-smoke`. *)
+   BENCH_join.json reference. Wired as `dune build @bench-smoke`.
+   The gate takes the fastest of [smoke_reps] repetitions. On a shared
+   2-core host a workload's times are bimodal, with slow phases that
+   last seconds: ivd-join samples cluster near 10.5 ms and near 18 ms,
+   against a 17.3 ms limit. Over runs of the gate, the fastest of 5
+   read 17.7-22 ms, of 60 10.6-16.7 ms (ten runs), of 200
+   10.2-16.6 ms (twenty runs) and of 400 9.5-10.8 ms (ten runs). A
+   gate run takes about 12 s. *)
+
+let smoke_reps = 400
 
 let read_reference path =
   let ic = open_in path in
@@ -278,7 +289,7 @@ let smoke () =
   let failures = ref 0 in
   List.iter
     (fun (name, p) ->
-      let ms, _ = measure ~config:Engine.default_config p in
+      let ms, _ = measure ~reps:smoke_reps (fun () -> p) in
       match List.assoc_opt ("smoke_" ^ key name ^ "_ms") reference with
       | None ->
         Printf.printf "  %-12s %6.2f ms  (no reference entry)\n" name ms;

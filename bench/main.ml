@@ -31,8 +31,7 @@ let experiments =
     ("join", "join-kernel: compiled plans vs interpreted", Exp_join.run);
     ("faults", "fault-injection runtime: overhead and fast-fail", Exp_faults.run);
     ("join-smoke", "join-kernel regression gate vs BENCH_join.json", Exp_join.smoke);
-    ("cost", "cardinality/cost oracle vs greedy planner", Exp_cost.run);
-    ("cost-smoke", "cost-oracle regression gate (self-contained)", Exp_cost.smoke);
+    ("cost", "cardinality/cost analysis: time and estimate accuracy", Exp_cost.run);
     ("contain", "semantic minimization: minimized vs original programs", Exp_contain.run);
     ("contain-smoke", "minimization regression gate (self-contained)", Exp_contain.smoke);
     ("par", "domain-parallel joins + concurrent gather at 1/2/4 domains", Exp_parallel.run);
@@ -52,7 +51,7 @@ let () =
          asked for *)
       List.filter_map
         (fun (id, _, _) ->
-          if id = "join-smoke" || id = "cost-smoke" || id = "contain-smoke"
+          if id = "join-smoke" || id = "contain-smoke"
              || id = "par-smoke" || id = "recovery-smoke"
           then None
           else Some id)

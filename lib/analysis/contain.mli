@@ -65,8 +65,9 @@ val minimize_rule : ctx -> Logic.Rule.t -> Logic.Rule.t
     Facts and single-atom bodies are returned unchanged. *)
 
 val minimize : ctx -> Logic.Rule.t list -> Logic.Rule.t list
-(** {!minimize_rule} on every rule — the shape of the
-    [Engine.config.minimize] hook. *)
+(** {!minimize_rule} on every rule: a rewrite a caller applies to a
+    program before handing it to the engine. Each rule stays equivalent
+    to its input modulo the context's [sub] facts and domain map. *)
 
 val redundant_view :
   ctx -> against:Logic.Rule.t list -> Logic.Rule.t list -> bool

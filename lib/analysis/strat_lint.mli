@@ -1,9 +1,9 @@
 (** Pass 2 — stratification analysis.
 
-    Where {!Datalog.Stratify.rules_by_stratum} returns a bare predicate
-    list, this pass extracts an {e actual} offending cycle through the
-    dependency graph — the path a reader can follow to see why the
-    program destratifies — and flags the rules that sit on it.
+    Renders the offending cycle {!Datalog.Stratify.negative_cycle}
+    finds through the dependency graph — the path a reader can follow
+    to see why the program destratifies — and flags the rules that sit
+    on it.
 
     Codes:
     - {b negative-cycle}: a dependency cycle through at least one
@@ -16,11 +16,6 @@
       programs containing it cannot be incrementally maintained
       ({!Datalog.Maintain.init} refuses unstratified programs), so
       every source update triggers a full rebuild. *)
-
-val negative_cycle : Datalog.Program.t -> Datalog.Stratify.edge list option
-(** A shortest-by-construction dependency cycle with at least one
-    nonmonotonic edge, as consecutive edges (the last edge returns to
-    the first edge's source); [None] iff the program is stratified. *)
 
 val pp_cycle : Format.formatter -> Datalog.Stratify.edge list -> unit
 (** [p -¬-> q -> p]. *)

@@ -20,8 +20,7 @@ let diag_of_verdict ~loc i r = function
            (Absint.describe_reason reason))
         ~hint:
           "the head stays unpopulated no matter what the sources push; \
-           delete the rule or fix the join (the engine prunes it when \
-           dead-rule pruning is on)";
+           delete the rule or fix the join";
     ]
 
 let lint ?cones ?cap ?assume_nonempty ?edb ?(loc = default_loc) rules =

@@ -12,8 +12,7 @@
       or a ground comparison that can never hold.
 
     Both verdicts are exactly the ones {!Absint.prune} acts on, so a
-    flagged rule is also the one the engine would skip with dead-rule
-    pruning enabled. Open predicates (declared relations, predicates
+    flagged rule is also one the pruned program drops. Open predicates (declared relations, predicates
     the caller knows are populated externally) must be passed through
     [assume_nonempty] — they are treated as ⊤ rows and never cause a
     verdict. *)

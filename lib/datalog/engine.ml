@@ -1,11 +1,6 @@
 module Atom = Logic.Atom
 module Subst = Logic.Subst
 
-type cost_oracle = {
-  order : Logic.Rule.t -> focus:int option -> int list option;
-  estimate : string -> int option;
-}
-
 type durability = { fs : Codec.fs; wal_max_bytes : int }
 
 let checkpoint_file = "checkpoint.kind"
@@ -17,9 +12,6 @@ let durability ?(wal_max_bytes = 1_000_000) ~dir () =
 type config = {
   max_term_depth : int;
   max_rounds : int;
-  prune : (Logic.Rule.t list -> Database.t -> Logic.Rule.t list) option;
-  minimize : (Logic.Rule.t list -> Logic.Rule.t list) option;
-  cost_oracle : cost_oracle option;
   domains : int;
   durability : durability option;
 }
@@ -28,9 +20,6 @@ let default_config =
   {
     max_term_depth = 8;
     max_rounds = 100_000;
-    prune = None;
-    minimize = None;
-    cost_oracle = None;
     domains = 0;
     durability = None;
   }
@@ -68,10 +57,6 @@ type report = {
   plan_cache_hits : int;
   strata_skipped : int;
   delta_facts : int;
-  rules_pruned : int;
-  atoms_minimized : int;
-  cost_oracle_used : int;
-  est_vs_actual : float;
   domains_used : int;
   parallel_batches : int;
   checkpoint_ms : float;
@@ -92,35 +77,12 @@ let empty_report =
     plan_cache_hits = 0;
     strata_skipped = 0;
     delta_facts = 0;
-    rules_pruned = 0;
-    atoms_minimized = 0;
-    cost_oracle_used = 0;
-    est_vs_actual = 0.0;
     domains_used = 1;
     parallel_batches = 0;
     checkpoint_ms = 0.0;
     recovery_ms = 0.0;
     wal_bytes = 0;
   }
-
-(* Geometric mean of estimate/actual over the predicates the oracle can
-   bound — the honest summary of how tight the static analysis is
-   (1.0 = exact, 10.0 = an order of magnitude over). 0.0 = no oracle
-   or nothing finite to compare. *)
-let est_vs_actual_of (o : cost_oracle) db =
-  let logs, n =
-    List.fold_left
-      (fun (acc, n) p ->
-        match o.estimate p with
-        | Some est ->
-          let actual = Database.count db p in
-          ( acc
-            +. log (float_of_int (max 1 est) /. float_of_int (max 1 actual)),
-            n + 1 )
-        | None -> (acc, n))
-      (0.0, 0) (Database.predicates db)
-  in
-  if n = 0 then 0.0 else exp (logs /. float_of_int n)
 
 let materialize ?(config = default_config) ?report p edb =
   let stats = Eval.new_stats () in
@@ -132,32 +94,8 @@ let materialize ?(config = default_config) ?report p edb =
   (* the base-fact database a checkpoint must carry so recovery can
      re-adopt the materialization for incremental maintenance *)
   let base = match durable with Some _ -> Some (Database.copy db) | None -> None in
-  (* semantics-preserving dead-rule pruning: the hook sees the rule-only
-     program and the loaded base facts, and must return a sublist of
-     rules that derive nothing in the model (Analysis.Absint.prune). *)
-  let p, pruned =
-    match config.prune with
-    | None -> (p, 0)
-    | Some f ->
-      let rules = Program.rules p in
-      let kept = f rules db in
-      (Program.make_exn kept, List.length rules - List.length kept)
-  in
-  (* semantic minimization: the hook (Analysis.Contain.minimize — same
-     wiring inversion as [prune]) may drop body atoms that are implied
-     by the rest of their rule's body, but must preserve the model. *)
-  let p, minimized =
-    match config.minimize with
-    | None -> (p, 0)
-    | Some f ->
-      let rules = Program.rules p in
-      let before = List.fold_left (fun n r -> n + List.length r.Logic.Rule.body) 0 rules in
-      let kept = f rules in
-      let after = List.fold_left (fun n r -> n + List.length r.Logic.Rule.body) 0 kept in
-      (Program.make_exn kept, max 0 (before - after))
-  in
   let fill_report ~checkpoint_ms ~wal_bytes ~stratified ~strata
-      ~rounds ~derived ~skolems ~result =
+      ~rounds ~derived ~skolems =
     match report with
     | None -> ()
     | Some r ->
@@ -174,13 +112,6 @@ let materialize ?(config = default_config) ?report p edb =
           plan_cache_hits = Atomic.get stats.Eval.plan_cache_hits;
           strata_skipped = 0;
           delta_facts = 0;
-          rules_pruned = pruned;
-          atoms_minimized = minimized;
-          cost_oracle_used = Atomic.get stats.Eval.cost_oracle_used;
-          est_vs_actual =
-            (match config.cost_oracle with
-            | None -> 0.0
-            | Some o -> est_vs_actual_of o result);
           domains_used =
             (match pool with Some p -> Pool.size p | None -> 1);
           parallel_batches = Atomic.get stats.Eval.parallel_batches;
@@ -189,76 +120,68 @@ let materialize ?(config = default_config) ?report p edb =
           wal_bytes;
         }
   in
-  let eval () =
-    match Stratify.rules_by_stratum p with
-    | Ok strata ->
-      let rounds = ref 0 and derived = ref 0 and skolems = ref 0 in
-      List.iter
-        (fun rules ->
-          if rules <> [] then begin
-            let o =
-              Seminaive.run ~stats ?pool ~max_term_depth:config.max_term_depth
-                ~max_rounds:config.max_rounds ~neg:db rules db
-            in
-            rounds := !rounds + o.Seminaive.rounds;
-            derived := !derived + o.Seminaive.derived;
-            skolems := !skolems + o.Seminaive.skolems_suppressed
-          end)
-        strata;
-      let checkpoint_ms, wal_bytes =
-        match (durable, base) with
-        | Some d, Some base ->
-          let t0 = Unix.gettimeofday () in
-          (* the checkpoint and the log reset that follows carry a
-             fresh generation: a crash between the two leaves the old
-             log stamped with the old generation, which recovery
-             detects and discards instead of replaying stale deltas
-             over a materialization they never touched *)
-          let gen = Wal.generation d.fs ~path:wal_file + 1 in
-          ignore
-            (Snapshot.write d.fs ~path:checkpoint_file
-               {
-                 Snapshot.db;
-                 edb = base;
-                 counters =
-                   [
-                     ("generation", float_of_int gen);
-                     ("strata", float_of_int (List.length strata));
-                     ("rounds", float_of_int !rounds);
-                     ("derived", float_of_int !derived);
-                     ("skolems_suppressed", float_of_int !skolems);
-                   ];
-               });
-          (* a fresh checkpoint subsumes every logged batch *)
-          Wal.reset d.fs ~path:wal_file ~gen;
-          ( (Unix.gettimeofday () -. t0) *. 1000.0,
-            d.fs.Codec.size wal_file )
-        | _ -> (0.0, 0)
-      in
-      fill_report ~checkpoint_ms ~wal_bytes ~stratified:true
-        ~strata:(List.length strata)
-        ~rounds:!rounds ~derived:!derived ~skolems:!skolems ~result:db;
-      db
-    | Error _ ->
-      let model =
-        Wellfounded.compute ~stats ?pool ~max_term_depth:config.max_term_depth
-          ~max_rounds:config.max_rounds p db
-      in
-      let undef = Database.cardinal model.Wellfounded.undefined in
-      if undef > 0 then raise (Undefined_atoms undef);
-      fill_report ~checkpoint_ms:0.0 ~wal_bytes:0 ~stratified:false ~strata:1
-        ~rounds:model.Wellfounded.alternations
-        ~derived:(Database.cardinal model.Wellfounded.true_facts
-                  - Database.cardinal db)
-        ~skolems:0 ~result:model.Wellfounded.true_facts;
-      model.Wellfounded.true_facts
-  in
-  (* the oracle is consulted by [Plan.lookup], which [Seminaive] calls
-     deep inside its round loop (it resolves every plan up front) — so
-     install it around the whole evaluation *)
-  match config.cost_oracle with
-  | None -> eval ()
-  | Some o -> Plan.with_oracle o.order eval
+  match Stratify.rules_by_stratum p with
+  | Ok strata ->
+    let rounds = ref 0 and derived = ref 0 and skolems = ref 0 in
+    List.iter
+      (fun rules ->
+        if rules <> [] then begin
+          let o =
+            Seminaive.run ~stats ?pool ~max_term_depth:config.max_term_depth
+              ~max_rounds:config.max_rounds ~neg:db rules db
+          in
+          rounds := !rounds + o.Seminaive.rounds;
+          derived := !derived + o.Seminaive.derived;
+          skolems := !skolems + o.Seminaive.skolems_suppressed
+        end)
+      strata;
+    let checkpoint_ms, wal_bytes =
+      match (durable, base) with
+      | Some d, Some base ->
+        let t0 = Unix.gettimeofday () in
+        (* the checkpoint and the log reset that follows carry a
+           fresh generation: a crash between the two leaves the old
+           log stamped with the old generation, which recovery
+           detects and discards instead of replaying stale deltas
+           over a materialization they never touched *)
+        let gen = Wal.generation d.fs ~path:wal_file + 1 in
+        ignore
+          (Snapshot.write d.fs ~path:checkpoint_file
+             {
+               Snapshot.db;
+               edb = base;
+               counters =
+                 [
+                   ("generation", float_of_int gen);
+                   ("strata", float_of_int (List.length strata));
+                   ("rounds", float_of_int !rounds);
+                   ("derived", float_of_int !derived);
+                   ("skolems_suppressed", float_of_int !skolems);
+                 ];
+             });
+        (* a fresh checkpoint subsumes every logged batch *)
+        Wal.reset d.fs ~path:wal_file ~gen;
+        ( (Unix.gettimeofday () -. t0) *. 1000.0,
+          d.fs.Codec.size wal_file )
+      | _ -> (0.0, 0)
+    in
+    fill_report ~checkpoint_ms ~wal_bytes ~stratified:true
+      ~strata:(List.length strata)
+      ~rounds:!rounds ~derived:!derived ~skolems:!skolems;
+    db
+  | Error _ ->
+    let model =
+      Wellfounded.compute ~stats ?pool ~max_term_depth:config.max_term_depth
+        ~max_rounds:config.max_rounds p db
+    in
+    let undef = Database.cardinal model.Wellfounded.undefined in
+    if undef > 0 then raise (Undefined_atoms undef);
+    fill_report ~checkpoint_ms:0.0 ~wal_bytes:0 ~stratified:false ~strata:1
+      ~rounds:model.Wellfounded.alternations
+      ~derived:(Database.cardinal model.Wellfounded.true_facts
+                - Database.cardinal db)
+      ~skolems:0;
+    model.Wellfounded.true_facts
 
 let maintain ?(config = default_config) ?report p db delta =
   let pool = pool_of config in
@@ -341,10 +264,6 @@ let maintain ?(config = default_config) ?report p db delta =
             plan_cache_hits = rep.Maintain.plan_cache_hits;
             strata_skipped = rep.Maintain.skipped;
             delta_facts = rep.Maintain.added + rep.Maintain.removed;
-            rules_pruned = 0;
-            atoms_minimized = 0;
-            cost_oracle_used = 0;
-            est_vs_actual = 0.0;
             domains_used =
               (match pool with Some p -> Pool.size p | None -> 1);
             parallel_batches = rep.Maintain.parallel_batches;

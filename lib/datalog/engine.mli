@@ -9,20 +9,6 @@
     the naive interpreter {!Naive} is the reference oracle the tests
     check it against, and no production path calls it. *)
 
-type cost_oracle = {
-  order : Logic.Rule.t -> focus:int option -> int list option;
-      (** analysis-derived literal order for a (rule, focus) — [None]
-          declines, leaving the syntactic greedy score in charge.
-          Invalid orders (not a stepwise-evaluable permutation) are
-          rejected by {!Plan.order_ok} and fall back to greedy. *)
-  estimate : string -> int option;
-      (** static cardinality upper bound per predicate ([None] =
-          unbounded/unknown); compared against actual extents in
-          [report.est_vs_actual] *)
-}
-(** A static cost analysis feeding the planner — build one with
-    [Analysis.Card.oracle]. *)
-
 type durability = {
   fs : Codec.fs;  (** where checkpoint and WAL live (see {!Codec.real_fs}) *)
   wal_max_bytes : int;
@@ -53,29 +39,6 @@ type config = {
           placeholder objects [f_{C,r,D}(x)]; the bound keeps chained
           assertions terminating) *)
   max_rounds : int;
-  prune : (Logic.Rule.t list -> Database.t -> Logic.Rule.t list) option;
-      (** dead-rule pruning hook, run by {!materialize} after program
-          facts are loaded and before evaluation. The hook receives the
-          rule-only program and the base database and must return a
-          {e sublist} of rules whose omission does not change the model
-          — i.e. only drop rules proved to derive nothing
-          ({!Analysis.Absint.prune} is such a hook; the engine cannot
-          depend on the analysis library, so the wiring is inverted).
-          Pruned-rule counts land in [report.rules_pruned]. *)
-  minimize : (Logic.Rule.t list -> Logic.Rule.t list) option;
-      (** semantic rule minimization hook, run by {!materialize} after
-          [prune] and before evaluation. The hook may rewrite each rule
-          to an equivalent one with fewer body atoms — dropping joins
-          that containment analysis proves implied by the rest of the
-          body ([Analysis.Contain.minimize] is such a hook; same wiring
-          inversion as [prune]). It must preserve the model exactly.
-          Dropped-atom counts land in [report.atoms_minimized]. *)
-  cost_oracle : cost_oracle option;
-      (** when set, {!materialize} installs the oracle around the whole
-          evaluation ({!Plan.with_oracle}) so compiled plans use
-          analysis-derived literal orders, and the report gains
-          [cost_oracle_used] / [est_vs_actual]. Same wiring inversion
-          as [prune]: the analysis library builds the closures. *)
   domains : int;
       (** domains for parallel evaluation: [0] (the default) reads
           [KIND_DOMAINS] from the environment (see {!Pool.env_domains}),
@@ -121,22 +84,6 @@ type report = {
           changed extent (0 for a full materialization) *)
   delta_facts : int;
       (** maintenance only: net facts added + removed by the delta *)
-  rules_pruned : int;
-      (** rules dropped by the [config.prune] hook before evaluation
-          (0 when no hook is set and on the maintenance path) *)
-  atoms_minimized : int;
-      (** body atoms dropped by the [config.minimize] hook before
-          evaluation (0 when no hook is set and on the maintenance
-          path) *)
-  cost_oracle_used : int;
-      (** plan lookups resolved with a validated oracle-supplied
-          literal order (0 without [config.cost_oracle] and on the
-          maintenance path) *)
-  est_vs_actual : float;
-      (** geometric mean of (static cardinality estimate / actual
-          extent) over the predicates the oracle bounds: 1.0 = exact,
-          10.0 = an order of magnitude over-estimated; 0.0 = no oracle
-          installed or nothing finite to compare *)
   domains_used : int;
       (** lanes of the domain pool engaged for this evaluation (1 =
           sequential) *)

@@ -10,9 +10,7 @@ type stats = {
   tuples_scanned : int Atomic.t;
   index_hits : int Atomic.t;
   plan_cache_hits : int Atomic.t;
-  cost_oracle_used : int Atomic.t;
   parallel_batches : int Atomic.t;
-  mutable order_time : float;
 }
 
 let new_stats () =
@@ -21,9 +19,7 @@ let new_stats () =
     tuples_scanned = Atomic.make 0;
     index_hits = Atomic.make 0;
     plan_cache_hits = Atomic.make 0;
-    cost_oracle_used = Atomic.make 0;
     parallel_batches = Atomic.make 0;
-    order_time = 0.0;
   }
 
 let no_stats = new_stats ()

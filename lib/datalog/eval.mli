@@ -20,17 +20,9 @@ type stats = {
   plan_cache_hits : int Atomic.t;
       (** compiled-plan lookups answered from the plan cache (see
           {!Plan}; 0 on the interpreted path) *)
-  cost_oracle_used : int Atomic.t;
-      (** plan compilations whose literal order came from an installed
-          cost oracle ({!Plan.with_oracle}) rather than the syntactic
-          greedy score *)
   parallel_batches : int Atomic.t;
       (** delta batches fanned out across the domain pool (see
           {!Parexec}; 0 under sequential evaluation) *)
-  mutable order_time : float;
-      (** seconds spent ordering literals / compiling plans — on the
-          compiled path this is paid once per (rule, focus), not per
-          round. Main-domain only, hence not atomic. *)
 }
 (** Hot counters are [Atomic.t] so compiled plans may execute
     concurrently on the domain pool; all are order-independent sums, so

@@ -186,40 +186,17 @@ let warm_indexes db rules =
         body_atoms)
     rules
 
-let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?pool ?prune ?minimize
-    p edb0 =
+let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?pool p edb0 =
   let facts, p' = Program.split_facts p in
-  (* Semantic minimization rewrites rules to equivalent ones with fewer
-     body atoms; unlike [prune] it is valid for every database, so the
-     minimized rules replace the originals for the whole lifetime of
-     the handle (deltas included). *)
-  let p' =
-    match minimize with
-    | None -> p'
-    | Some f -> Program.make_exn (f (Program.rules p'))
-  in
   match Stratify.rules_by_stratum p' with
   | Error cycle -> Error ("Maintain.init: " ^ unstratified_msg cycle)
   | Ok strata ->
     let edb = Database.copy edb0 in
     List.iter (fun f -> ignore (Database.add_fact edb f)) facts;
     let db = Database.copy edb in
-    (* Dead-rule pruning applies to the initial materialization only:
-       the handle keeps the full rule set, because a later delta can
-       revive a rule that is dead w.r.t. the current base (every
-       instantiation of a revived rule contains a delta fact, so the
-       semi-naive focus joins of [apply] derive it). *)
-    let keep =
-      match prune with
-      | None -> fun _ -> true
-      | Some f ->
-        let kept = f (Program.rules p') db in
-        fun r -> List.exists (Rule.equal r) kept
-    in
     let stats = Eval.new_stats () in
     List.iter
       (fun rs ->
-        let rs = List.filter keep rs in
         if rs <> [] then
           ignore
             (Seminaive.run ~stats ?pool ~max_term_depth ~max_rounds ~neg:db rs

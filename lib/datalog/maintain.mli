@@ -78,29 +78,12 @@ val init :
   ?max_term_depth:int ->
   ?max_rounds:int ->
   ?pool:Pool.t ->
-  ?prune:(Logic.Rule.t list -> Database.t -> Logic.Rule.t list) ->
-  ?minimize:(Logic.Rule.t list -> Logic.Rule.t list) ->
   Program.t ->
   Database.t ->
   (t, string) result
 (** Materialize [p] over a copy of the EDB and return the maintenance
     handle. [Error] if the program is not stratified (maintenance has
     no well-founded fallback — use {!Engine.materialize} for those).
-
-    [prune] is the same dead-rule hook as {!Engine.config.prune} and
-    must only drop rules that derive nothing over the given base. It
-    speeds up the {e initial} materialization only: the handle keeps
-    the full rule set, because a delta may revive a pruned rule — and
-    then every new instantiation involves a delta fact, which the
-    semi-naive focus joins (and stratum recomputation) of {!apply}
-    cover, so maintained results still equal a full rebuild.
-
-    [minimize] is the semantic-minimization hook of
-    {!Engine.config.minimize}. Unlike [prune], its rewrites must be
-    equivalence-preserving for {e every} database (containment modulo
-    invariants deltas cannot break, e.g. the domain map), so the
-    minimized rules replace the originals in the handle and deltas
-    maintain the smaller bodies too.
 
     [pool] parallelizes the initial materialization, propagation
     (over-deletion and insertion) and stratum rebuilds across a domain

@@ -18,6 +18,65 @@ type outcome =
 
 module SM = Map.Make (String)
 
+(* Shortest path [src] ->* [dst] over the dependency graph, as an edge
+   list; BFS with parent-edge reconstruction. *)
+let path edges ~src ~dst =
+  let adj =
+    List.fold_left
+      (fun m e ->
+        SM.update e.from_pred
+          (fun es -> Some (e :: Option.value es ~default:[]))
+          m)
+      SM.empty edges
+  in
+  if String.equal src dst then Some []
+  else begin
+    let parent : (string, edge) Hashtbl.t = Hashtbl.create 16 in
+    let queue = Queue.create () in
+    Queue.add src queue;
+    Hashtbl.add parent src { from_pred = src; to_pred = src; nonmono = false };
+    let found = ref false in
+    while (not !found) && not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      List.iter
+        (fun e ->
+          if (not !found) && not (Hashtbl.mem parent e.to_pred) then begin
+            Hashtbl.add parent e.to_pred e;
+            if String.equal e.to_pred dst then found := true
+            else Queue.add e.to_pred queue
+          end)
+        (Option.value (SM.find_opt u adj) ~default:[])
+    done;
+    if not !found then None
+    else begin
+      let rec walk v acc =
+        if String.equal v src then acc
+        else
+          let e = Hashtbl.find parent v in
+          walk e.from_pred (e :: acc)
+      in
+      Some (walk dst [])
+    end
+  end
+
+(* Close each nonmonotonic edge u -¬-> v with a shortest path v ->* u;
+   keep the shortest witness overall so reports stay readable. *)
+let cycle_of_edges edges =
+  List.fold_left
+    (fun best e ->
+      if not e.nonmono then best
+      else
+        match path edges ~src:e.to_pred ~dst:e.from_pred with
+        | None -> best
+        | Some back -> (
+          let cycle = e :: back in
+          match best with
+          | Some b when List.length b <= List.length cycle -> best
+          | _ -> Some cycle))
+    None edges
+
+let negative_cycle p = cycle_of_edges (dependency_edges p)
+
 (* Iterative stratum assignment: s(h) >= s(b) for positive deps,
    s(h) >= s(b) + 1 for nonmonotonic ones. If a stratum exceeds the
    number of predicates, there is a nonmonotonic cycle. *)
@@ -44,14 +103,11 @@ let stratify p =
         end)
       edges
   done;
-  if !overflow then begin
-    (* Recover a witness cycle: walk nonmono edges among predicates with
-       maximal strata. *)
-    let high =
-      SM.fold (fun q s acc -> if s > n then q :: acc else acc) !strata []
-    in
-    Unstratified (List.sort String.compare high)
-  end
+  if !overflow then
+    (* a stratum past n means some nonmonotonic edge lies on a cycle *)
+    let cycle = Option.value (cycle_of_edges edges) ~default:[] in
+    Unstratified
+      (List.sort_uniq String.compare (List.map (fun e -> e.from_pred) cycle))
   else begin
     let max_stratum = SM.fold (fun _ s acc -> max s acc) !strata 0 in
     let buckets = Array.make (max_stratum + 1) [] in

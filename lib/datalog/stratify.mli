@@ -14,12 +14,17 @@ type edge = {
 
 val dependency_edges : Program.t -> edge list
 
+val negative_cycle : Program.t -> edge list option
+(** A shortest dependency cycle through at least one nonmonotonic edge,
+    as consecutive edges starting with that edge (the last edge returns
+    to the first edge's source); [None] iff the program is stratified. *)
+
 type outcome =
   | Stratified of string list list
       (** predicate strata, bottom (stratum 0) first; every predicate of
           the program appears in exactly one stratum *)
   | Unstratified of string list
-      (** a cycle of predicates through at least one nonmonotonic edge *)
+      (** the predicates of {!negative_cycle}'s cycle, sorted *)
 
 val stratify : Program.t -> outcome
 
@@ -28,4 +33,5 @@ val is_stratified : Program.t -> bool
 val rules_by_stratum :
   Program.t -> (Logic.Rule.t list list, string list) result
 (** Rules grouped by the stratum of their head predicate, bottom first;
-    [Error cycle] when the program is not stratified. *)
+    [Error cycle] when the program is not stratified, with [cycle] as
+    in {!Unstratified}. *)

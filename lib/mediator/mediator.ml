@@ -14,8 +14,6 @@ type config = {
   use_lub : bool;
   inheritance : bool;
   lint : lint_policy;
-  prune_dead : bool;
-  minimize : bool;
   runtime : Runtime.policy;
   cost_budget : int option;
   domains : int;
@@ -30,8 +28,6 @@ let default_config =
     use_lub = true;
     inheritance = false;
     lint = Lint_warn;
-    prune_dead = false;
-    minimize = false;
     runtime = Runtime.default_policy;
     cost_budget = None;
     domains = 0;
@@ -684,32 +680,6 @@ let gather_facts t =
       suspect = suspect_predicates t ~skipped;
     } )
 
-(* Dead-rule pruning hook for the engine (pass 6 acting, not just
-   reporting): concept cones come from the domain map, and predicates
-   the program itself does not define stay open so nothing reachable
-   from a source is ever dropped. *)
-let prune_hook t rules db =
-  let cones =
-    {
-      Analysis.Absint.members = Domain_map.Closure.cones t.dmap;
-      lub = (fun cs -> Domain_map.Lub.lub_unique t.dmap cs);
-    }
-  in
-  Analysis.Absint.prune ~cones
-    ~assume_nonempty:(Analysis.Kindlint.open_predicate ~signature:t.sg rules)
-    rules db
-
-(* Semantic minimization hook for the engine (pass 9 acting): the
-   containment context is built from the domain map ONLY — program
-   [sub] facts may come from sources, and a deletion could retract
-   them, whereas the domain map is a mediator-level invariant no base
-   delta can break. That makes the minimized rules equivalent over
-   every database the handle can evolve into, which is what
-   [Maintain.init ?minimize] requires. *)
-let minimize_hook t =
-  let ctx = Analysis.Contain.make_ctx ~dm:t.dmap () in
-  Analysis.Contain.minimize ctx
-
 let materialize t =
   match t.cache with
   | Some db -> db
@@ -717,16 +687,12 @@ let materialize t =
     let data, completeness = gather_facts t in
     t.last_completeness <- Some completeness;
     let p = build_program_with t ~data in
-    let prune = if t.cfg.prune_dead then Some (prune_hook t) else None in
-    let minimize = if t.cfg.minimize then Some (minimize_hook t) else None in
     let db =
       match Flogic.Fl_program.compile p with
       | Error e -> invalid_arg e
       | Ok dp -> (
         match
-          Datalog.Maintain.init ?prune ?minimize
-            ?pool:(Pool.get (effective_domains t))
-            dp
+          Datalog.Maintain.init ?pool:(Pool.get (effective_domains t)) dp
             (Datalog.Database.create ())
         with
         | Ok h ->
@@ -739,12 +705,7 @@ let materialize t =
           t.maint <- None;
           Datalog.Engine.materialize
             ~config:
-              {
-                Datalog.Engine.default_config with
-                prune;
-                minimize;
-                domains = t.cfg.domains;
-              }
+              { Datalog.Engine.default_config with domains = t.cfg.domains }
             dp
             (Datalog.Database.create ()))
     in

@@ -27,19 +27,6 @@ type config = {
       (** kindlint at {!register_source} time: schema conformance,
           anchor targets, template hygiene (default [Lint_warn]); at
           {!add_ivd} time: source provenance of the new views *)
-  prune_dead : bool;
-      (** drop rules the abstract interpreter ({!Analysis.Absint})
-          proves can derive nothing before materializing — semantics
-          preserving; counts surface in {!Datalog.Engine.report} /
-          {!Datalog.Maintain.report} (default [false]) *)
-  minimize : bool;
-      (** semantically minimize rule bodies before materializing:
-          containment analysis modulo the domain map
-          ({!Analysis.Contain.minimize}) drops body atoms implied by
-          the rest of their rule — equivalence preserving for every
-          database the maintenance handle can evolve into, because the
-          context is built from the domain map only, never from
-          retractable source facts (default [false]) *)
   runtime : Runtime.policy;
       (** per-source retry-with-backoff and circuit-breaker policies
           applied to every query-time fetch (default

@@ -2,12 +2,12 @@
    built on it).
 
    The load-bearing check is the pruning differential: on the same
-   random stratified programs as Test_differential, evaluating with
-   [Absint.prune] installed must compute exactly the model of the
-   unpruned program, on all three paths (naive, semi-naive, incremental
-   maintenance across a delta). A no-false-positive property makes the
-   soundness contract explicit: every rule the analysis verdicts [Dead]
-   can be removed without changing the model.
+   random stratified programs as Test_differential, the program
+   [Absint.prune] leaves must have exactly the model of the unpruned
+   program, under both the naive oracle and the engine. A
+   no-false-positive property makes the soundness contract explicit:
+   every rule the analysis verdicts [Dead] can be removed without
+   changing the model.
 
    Goldens pin the seeded defects in samples/broken.flp (empty-join,
    dead-rule, no-source, unknown-namespace) and that samples/spines.flp
@@ -16,7 +16,6 @@
 
 open Logic
 module Engine = Datalog.Engine
-module Maintain = Datalog.Maintain
 module Database = Datalog.Database
 module Program = Datalog.Program
 module Absint = Analysis.Absint
@@ -24,8 +23,6 @@ module D = Analysis.Diagnostic
 
 let cases = Test_differential.cases
 let base_seed = Test_differential.base_seed
-
-let prune_hook rules db = Absint.prune rules db
 
 (* ------------------------------------------------------------------ *)
 (* Value lattice *)
@@ -126,33 +123,24 @@ let negation_never_kills () =
 (* ------------------------------------------------------------------ *)
 (* Pruning differential *)
 
-let pruned_seminaive =
-  { Engine.default_config with Engine.prune = Some prune_hook }
-
 let run_case seed =
   let st = Random.State.make [| seed |] in
-  let rules, idb = Test_differential.gen_rules st in
+  let rules, _ = Test_differential.gen_rules st in
   let p = Program.make_exn rules in
-  let edb_facts = Test_differential.gen_edb st in
-  let edb = Database.of_facts edb_facts in
+  let edb = Database.of_facts (Test_differential.gen_edb st) in
   let ctx what = Printf.sprintf "seed %d: %s" seed what in
   let full = Engine.materialize p edb in
-  (* pruned evaluation is invisible to the naive oracle and to the
+  (* the pruned program is invisible to the naive oracle and to the
      engine *)
+  let pruned = Program.make_exn (Absint.prune rules edb) in
   Test_differential.check_same
     (ctx "pruned naive == unpruned")
-    (Datalog.Naive.materialize (Program.make_exn (prune_hook rules edb)) edb)
+    (Datalog.Naive.materialize pruned edb)
     full;
-  let rep = ref Engine.empty_report in
   Test_differential.check_same
     (ctx "pruned seminaive == unpruned")
-    (Engine.materialize ~config:pruned_seminaive ~report:rep p edb)
+    (Engine.materialize pruned edb)
     full;
-  Alcotest.(check bool)
-    (ctx "rules_pruned counter sane")
-    true
-    (!rep.Engine.rules_pruned >= 0
-    && !rep.Engine.rules_pruned <= List.length rules);
   (* no false positives: a Dead-verdicted rule derives nothing, so
      removing it from the (unpruned) program leaves the model intact *)
   let a = Absint.emptiness ~edb rules in
@@ -164,28 +152,7 @@ let run_case seed =
           (ctx (Printf.sprintf "dead rule #%d truly derives nothing" i))
           (Engine.materialize (Program.make_exn without) edb)
           full)
-    a.Absint.verdicts;
-  (* incremental maintenance with pruning enabled stays correct across
-     a delta — including deltas that revive an initially-dead rule by
-     asserting base facts on rule-defined predicates *)
-  let h =
-    match Maintain.init ~prune:prune_hook p edb with
-    | Ok h -> h
-    | Error e -> Alcotest.failf "seed %d: Maintain.init: %s" seed e
-  in
-  Test_differential.check_same
-    (ctx "pruned Maintain.init == unpruned materialize")
-    (Maintain.db h) full;
-  let d = Test_differential.gen_delta st ~edb_facts ~idb in
-  let full' =
-    Engine.materialize p (Test_differential.updated_edb edb d)
-  in
-  (match Maintain.apply h d with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "seed %d: Maintain.apply: %s" seed e);
-  Test_differential.check_same
-    (ctx "delta after pruned init == re-materialize")
-    (Maintain.db h) full'
+    a.Absint.verdicts
 
 let differential () =
   for i = 0 to cases - 1 do

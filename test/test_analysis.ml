@@ -61,7 +61,7 @@ let test_golden_negative_cycle () =
     ]
   in
   let p = Program.make_exn rules in
-  (match A.Strat_lint.negative_cycle p with
+  (match Datalog.Stratify.negative_cycle p with
   | None -> Alcotest.fail "expected a negative cycle"
   | Some cycle ->
     Alcotest.(check bool) "cycle closes on win" true
@@ -324,12 +324,12 @@ let test_no_false_positives () =
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: no cycle reported" seed)
       true
-      (A.Strat_lint.negative_cycle p = None);
+      (Datalog.Stratify.negative_cycle p = None);
     (* and agreement with the engine's own verdict, both directions *)
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: agreement with Stratify" seed)
       (Datalog.Stratify.is_stratified p)
-      (A.Strat_lint.negative_cycle p = None)
+      (Datalog.Stratify.negative_cycle p = None)
   done
 
 (* ------------------------------------------------------------------ *)

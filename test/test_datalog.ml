@@ -416,9 +416,14 @@ let test_engine_unstratified_guard () =
   let p = Program.make_exn rules in
   (match Stratify.rules_by_stratum p with
   | Error cycle ->
-    Alcotest.(check bool) "the witness lies on the p/q cycle" true
-      (cycle <> [] && List.for_all (fun q -> q = "p" || q = "q") cycle)
+    Alcotest.(check (list string)) "the witness is the whole p/q cycle"
+      [ "p"; "q" ] cycle
   | Ok _ -> Alcotest.fail "the p/q cycle is not stratified");
+  (match Maintain.init p (Database.create ()) with
+  | Error e ->
+    Alcotest.(check string) "maintenance names the whole cycle"
+      "Maintain.init: not stratified (nonmonotonic cycle through p, q)" e
+  | Ok _ -> Alcotest.fail "Maintain.init accepted the p/q cycle");
   (* The engine falls back to well-founded: p/q over 'a' are undefined
      -> Undefined_atoms. *)
   match Engine.materialize p (Database.create ()) with

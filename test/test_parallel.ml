@@ -8,7 +8,7 @@
        excepted — those differ by design),
      - identical Maintain behavior: same maintained database, same
        per-stratum actions, same counters after the same delta,
-     - identical dead-rule pruning (rules_pruned and the pruned model),
+     - the identical model of a program with dead rules pruned,
 
    and the concurrent federation gather must preserve completeness
    reports and replay-exact per-channel fault transcripts against the
@@ -64,9 +64,6 @@ let report_sig (r : Engine.report) =
     Printf.sprintf "tuples_scanned=%d" r.Engine.tuples_scanned;
     Printf.sprintf "index_hits=%d" r.Engine.index_hits;
     Printf.sprintf "plan_cache_hits=%d" r.Engine.plan_cache_hits;
-    Printf.sprintf "rules_pruned=%d" r.Engine.rules_pruned;
-    Printf.sprintf "atoms_minimized=%d" r.Engine.atoms_minimized;
-    Printf.sprintf "cost_oracle_used=%d" r.Engine.cost_oracle_used;
   ]
 
 let check_report ctx a b =
@@ -81,11 +78,11 @@ let check_maintain_report ctx (a : Maintain.report) (b : Maintain.report) =
       b.Maintain.removed a.Maintain.rounds b.Maintain.rounds a.Maintain.joins
       b.Maintain.joins a.Maintain.tuples_scanned b.Maintain.tuples_scanned
 
-(* A deterministic dead-rule prune hook: drop rules with a positive
-   EDB body literal whose extent is empty. Soundness does not matter
-   for the differential — the same hook runs at every domain count and
-   the results must agree with each other. *)
-let prune_hook rules db =
+(* A deterministic dead-rule pruner: drop rules with a positive EDB
+   body literal whose extent is empty. Soundness does not matter for
+   the differential — the same pruned program runs at every domain
+   count and the results must agree with each other. *)
+let prune rules db =
   let idb =
     List.filter_map
       (fun (r : Rule.t) ->
@@ -117,11 +114,12 @@ let run_case seed =
     | Error e -> Alcotest.failf "seed %d: %s: %s" seed what e
   in
   let d = Test_differential.gen_delta st ~edb_facts ~idb in
-  let materialized c =
+  let materialized p c =
     let rep = ref Engine.empty_report in
     let db = Engine.materialize ~config:c ~report:rep p edb in
     (db, !rep)
   in
+  let pruned = Program.make_exn (prune rules edb) in
   let maintained dcount =
     let h =
       fail_on_error "Maintain.init"
@@ -136,23 +134,16 @@ let run_case seed =
      maintenance compiles plans of its own, for negated literals *)
   ignore (Engine.materialize p edb);
   ignore (maintained 1);
-  let db1, rep1 = materialized (config_for 1) in
-  let pdb1, prep1 =
-    materialized { (config_for 1) with Engine.prune = Some prune_hook }
-  in
+  let db1, rep1 = materialized p (config_for 1) in
+  let pdb1, _ = materialized pruned (config_for 1) in
   let mdb1, mrep1 = maintained 1 in
   List.iter
     (fun dc ->
-      let dbd, repd = materialized (config_for dc) in
+      let dbd, repd = materialized p (config_for dc) in
       check_same (ctx dc "materialize") db1 dbd;
       check_report (ctx dc "materialize counters") rep1 repd;
-      let pdbd, prepd =
-        materialized { (config_for dc) with Engine.prune = Some prune_hook }
-      in
-      check_same (ctx dc "pruned materialize") pdb1 pdbd;
-      Alcotest.(check int)
-        (ctx dc "rules_pruned")
-        prep1.Engine.rules_pruned prepd.Engine.rules_pruned;
+      check_same (ctx dc "pruned materialize") pdb1
+        (fst (materialized pruned (config_for dc)));
       let mdbd, mrepd = maintained dc in
       check_same (ctx dc "maintained database") mdb1 mdbd;
       check_maintain_report (ctx dc "maintain counters") mrep1 mrepd)
